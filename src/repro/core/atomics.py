@@ -39,15 +39,47 @@ def _tracked(array: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return array
 
 
-def _charge(machine: Optional[Machine], name: str, idx: np.ndarray) -> None:
+def _dense(idx: np.ndarray) -> bool:
+    """Is a non-empty address vector counted by ``bincount`` (see
+    ``_charge``) rather than by a sort?"""
+    return int(idx.min()) >= 0 and int(idx.max()) < 4 * len(idx) + 64
+
+
+def _run_bounds(s: np.ndarray) -> np.ndarray:
+    """Where each run of equal addresses after the first starts, in a
+    sorted address vector (an adjacent-difference scan)."""
+    return np.flatnonzero(s[1:] != s[:-1]) + 1
+
+
+def _run_stats(bounds: np.ndarray, lanes: int) -> Tuple[int, int]:
+    """(distinct, hottest) from a sorted vector's ``_run_bounds``."""
+    runs = np.diff(bounds, prepend=0, append=lanes)
+    return len(bounds) + 1, int(runs.max())
+
+
+def _address_stats(idx: np.ndarray) -> Tuple[int, int]:
+    """(distinct addresses, lanes on the hottest address) of a non-empty
+    integer address vector."""
+    if _dense(idx):
+        counts = np.bincount(idx)
+        return int(np.count_nonzero(counts)), int(counts.max())
+    return _run_stats(_run_bounds(np.sort(idx)), len(idx))
+
+
+def _charge(machine: Optional[Machine], name: str, idx: np.ndarray,
+            stats: Optional[Tuple[int, int]] = None) -> None:
+    """Price one atomic batch; ``stats`` is its ``_address_stats`` when
+    the caller has already counted the addresses."""
     if machine is None or len(idx) == 0:
         return
-    # distinct-count via unique: bincount over the idx.min()-shifted range
-    # both miscounted sparse address vectors and allocated O(max-min) scratch
-    _, counts = np.unique(idx, return_counts=True)
-    hottest = int(counts.max())
-    conflicts = len(idx) - len(counts)
-    machine.counters.record_atomics(len(idx), conflicts)
+    # one counting pass.  bincount is exact only over non-negative
+    # addresses, and its table is max + 1 cells long, so it runs only when
+    # no address is negative and the largest is O(lanes) (_dense); sparse
+    # vectors such as [0, 999_999] would otherwise allocate and scan the
+    # whole gap.  Everything else takes one sort and an adjacent-difference
+    # scan.
+    distinct, hottest = _address_stats(idx) if stats is None else stats
+    machine.counters.record_atomics(len(idx), len(idx) - distinct)
     # aggregate throughput term + serial chain on the hottest address
     body = (len(idx) * calib.C_ATOMIC_THROUGHPUT
             + max(0, hottest - 1) * calib.C_ATOMIC_CONFLICT)
@@ -113,18 +145,29 @@ def atomic_cas_claim(flags: np.ndarray, idx: np.ndarray,
     """
     idx = np.asarray(idx, dtype=np.int64)
     flags = _tracked(flags, idx)
-    won = np.zeros(len(idx), dtype=bool)
-    if len(idx):
-        unclaimed = ~flags[idx]
-        # first occurrence of each distinct index, in lane order
-        order = np.arange(len(idx))
-        first = np.zeros(len(idx), dtype=bool)
-        _, first_pos = np.unique(idx, return_index=True)
-        first[first_pos] = True
-        won = unclaimed & first
-        flags[idx[won]] = True
-        del order
-    _charge(machine, "atomic_cas", idx)
+    lanes = len(idx)
+    if lanes == 0:
+        return np.zeros(0, dtype=bool)
+    # first occurrence of each distinct index, in lane order, from the
+    # same counting pass that prices the batch
+    if _dense(idx):
+        # reversed fancy assignment: the last write, the first lane, wins
+        lane_ids = np.arange(lanes)
+        first_lane = np.empty(int(idx.max()) + 1, dtype=np.int64)
+        first_lane[idx[::-1]] = lane_ids[::-1]
+        first = first_lane[idx] == lane_ids
+        stats = None
+    else:
+        # a stable sort keeps lane order inside each address run
+        order = np.argsort(idx, kind="stable")
+        bounds = _run_bounds(idx[order])
+        first = np.zeros(lanes, dtype=bool)
+        first[order[0]] = True
+        first[order[bounds]] = True
+        stats = _run_stats(bounds, lanes)
+    won = ~flags[idx] & first
+    flags[idx[won]] = True
+    _charge(machine, "atomic_cas", idx, stats)
     return won
 
 
@@ -142,8 +185,9 @@ def atomic_exch_gather(array: np.ndarray, idx: np.ndarray, vals: np.ndarray,
 
 
 def conflict_stats(idx: np.ndarray) -> Tuple[int, int]:
-    """(lanes, conflicting lanes) for an address vector — used by tests."""
-    idx = np.asarray(idx)
+    """(lanes, conflicting lanes) for an address vector — used by tests;
+    counted by the same pass that prices atomics."""
+    idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
         return 0, 0
-    return len(idx), len(idx) - len(np.unique(idx))
+    return len(idx), len(idx) - _address_stats(idx)[0]

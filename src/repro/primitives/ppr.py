@@ -50,6 +50,17 @@ class _DistributeFunctor(Functor):
                            P.machine)
         return np.zeros(len(src), dtype=bool)
 
+    def apply_edge_segmented(self, P, f, degs, dst, eid):
+        # as pagerank's: the scattered value depends on the source vertex
+        # alone, so compute it once per frontier vertex and repeat it
+        # across that vertex's edge lanes (same float ops, same values)
+        contrib = P.residual[f]
+        np.multiply(contrib, P.damping, out=contrib)
+        np.divide(contrib, P.degrees[f], out=contrib)
+        atomics.atomic_add(P.residual_next, dst, np.repeat(contrib, degs),
+                           P.machine)
+        return P.workspace.false_mask(len(dst))
+
 
 class _CommitFunctor(Functor):
     def apply_vertex(self, P, v):

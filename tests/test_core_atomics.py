@@ -141,3 +141,47 @@ def test_atomic_min_determinism_any_order():
     perm = np.array([4, 2, 0, 3, 1])
     atomics.atomic_min(b, idx[perm], vals[perm])
     assert np.array_equal(a, b)
+
+
+def _guard_edge(lanes, above):
+    """``lanes`` addresses whose largest sits just inside (``above=False``)
+    or just outside the bincount range guard ``max < 4 * lanes + 64``."""
+    idx = np.arange(lanes) % 7
+    idx[-1] = 4 * lanes + 64 - (0 if above else 1)
+    return idx
+
+
+_rng = np.random.default_rng(12)
+
+
+@pytest.mark.parametrize("idx", [
+    _rng.integers(0, 50, size=400),
+    _rng.integers(0, 5000, size=2000),
+    np.array([0, 999_999]),
+    _rng.integers(0, 1_000_000, size=300),
+    np.array([42]),
+    np.full(257, 9),
+    _guard_edge(100, above=False),
+    _guard_edge(100, above=True),
+    np.array([-1, 3, -1, 7, 3, 3]),
+], ids=["dense", "dense-wide", "sparse-pair", "sparse", "one-lane",
+        "one-cell", "guard-below", "guard-above", "negative"])
+def test_address_stats_match_unique(idx):
+    _, counts = np.unique(idx, return_counts=True)
+    assert atomics._address_stats(idx) == (len(counts), int(counts.max()))
+    assert atomics.conflict_stats(idx) == (len(idx), len(idx) - len(counts))
+    # the CAS claim shares the pass: first lane per cell wins
+    cells = idx[idx >= 0]
+    m = Machine()
+    won = atomics.atomic_cas_claim(
+        np.zeros(int(cells.max()) + 1, dtype=bool), cells, m)
+    first = np.zeros(len(cells), dtype=bool)
+    first[np.unique(cells, return_index=True)[1]] = True
+    assert won.tolist() == first.tolist()
+    assert m.counters.atomic_conflicts == len(cells) - int(first.sum())
+
+
+def test_address_stats_guard_picks_the_path():
+    assert atomics._dense(_guard_edge(100, above=False))
+    assert not atomics._dense(_guard_edge(100, above=True))
+    assert not atomics._dense(np.array([-1, 3]))

@@ -367,6 +367,21 @@ def test_pagerank_pooled_unpooled_identical(data, max_iter):
                     max_iterations=max_iter)
 
 
+@given(edge_lists(max_n=20, max_m=70),
+       st.lists(st.integers(0, 19), min_size=1, max_size=4),
+       st.integers(1, 30))
+@settings(max_examples=20, deadline=None)
+def test_ppr_pooled_unpooled_identical(data, seeds, max_iter):
+    # pooled ppr scatters through the per-source segmented functor,
+    # unpooled through the per-lane one: outputs and cycles must agree
+    from engines import run_all_engines
+
+    n, edges = data
+    g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
+    run_all_engines("ppr", g, engines=("unpooled", "pooled", "la"),
+                    seeds=[s % n for s in seeds], max_iterations=max_iter)
+
+
 @given(edge_lists(max_n=18, max_m=60), st.integers(1, 12))
 @settings(max_examples=15, deadline=None)
 def test_pagerank_gather_pooled_unpooled_identical(data, max_iter):
