@@ -345,7 +345,9 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     return Frontier(f)
 
 
-# --------------------------------------------------------------- PageRank
+# ------------------------------------------------------- PageRank and PPR
+# ppr differs from pagerank only in its seeded initial residual, so both
+# primitives run this loop (RUNNERS maps "ppr" to the pagerank pair).
 
 def _precheck_pagerank(en) -> Optional[str]:
     return None
@@ -425,87 +427,6 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
             f = EMPTY
         else:
             f = iota_n[keep]
-        _charge_filter(machine, it, n, nk)
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f)
-
-
-# -------------------------------------------------------------------- PPR
-
-def _precheck_ppr(en) -> Optional[str]:
-    return None
-
-
-def _run_ppr(en, frontier: Frontier) -> Frontier:
-    P = en.problem
-    g = P.graph
-    machine = P.machine
-    ws = P.workspace
-    lb = en.lb
-    plan = en._fused_plan
-    n = g.n
-    indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
-    art = g.artifacts
-    iota_n = art.iota_n
-    rank, residual = P.rank, P.residual
-    degrees = P.degrees
-    damping, tol = P.damping, P.tolerance
-    use_spmv = plan.regimes.use_spmv
-    spmv_min = plan.regimes.spmv_min_edges
-    T = _transpose_ones(g) if use_spmv else None
-    spmv_buf = np.empty(n) if T is not None else None
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
-        full = len(f) == n and (f is iota_n or np.array_equal(f, iota_n))
-        if full:
-            degs, ne, dst_lanes = art.out_degrees, g.m, indices
-            contrib = residual * damping
-            np.divide(contrib, degrees, out=contrib)
-        else:
-            degs = indptr1[f]
-            degs = degs - indptr[f]
-            ne = int(degs.sum())
-            dst_lanes = None
-            contrib = residual[f]
-            contrib = contrib * damping
-            np.divide(contrib, degrees[f], out=contrib)
-        if machine is not None:
-            if dst_lanes is None and ne:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
-            with machine.fused(f"advance_push[{lb.name}]", it):
-                _charge_advance(P, degs, lb, "advance_push", ne, it)
-                if ne:
-                    atomics._charge(machine, "atomic_add", dst_lanes)
-            machine.counters.record_frontier(0)
-        if ne == 0:
-            res = np.zeros(n)
-        elif T is not None and ne >= spmv_min:
-            if full:
-                res = T @ contrib
-            else:
-                spmv_buf.fill(0.0)
-                spmv_buf[f] = contrib
-                res = T @ spmv_buf
-        else:
-            if dst_lanes is None:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
-            vals = contrib[g.edge_sources] if full else contrib.repeat(degs)
-            res = np.bincount(dst_lanes, weights=vals, minlength=n)
-        # commit (the all-vertices filter), elementwise: the routed
-        # library path fancy-indexes with arange(n), which is the same
-        np.add(rank, res, out=rank)
-        np.copyto(residual, res)
-        keep = res > tol
-        nk = int(np.count_nonzero(keep))
-        f = iota_n[keep] if 0 < nk < n else (iota_n.copy() if nk == n else EMPTY)
         _charge_filter(machine, it, n, nk)
         it += 1
         en.iteration = it
@@ -647,7 +568,7 @@ RUNNERS: Dict[str, Tuple[Callable, Callable]] = {
     "bfs": (_precheck_bfs, _run_bfs),
     "sssp": (_precheck_sssp, _run_sssp),
     "pagerank": (_precheck_pagerank, _run_pagerank),
-    "ppr": (_precheck_ppr, _run_ppr),
+    "ppr": (_precheck_pagerank, _run_pagerank),
     "cc": (_precheck_cc, _run_cc),
     "bc": (_precheck_bc, _run_bc),
 }

@@ -106,7 +106,7 @@ class Workspace:
         self._bitmaps: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         #: (frontier, expansion) of the last expanded push frontier
         self._expand_memo = None
-        #: allocation accounting, surfaced by bench_wallclock.py
+        #: allocation accounting (read by tests/test_core_workspace.py)
         self.stats = {"takes": 0, "allocations": 0, "grown_bytes": 0}
 
     # -- scratch ------------------------------------------------------------

@@ -132,7 +132,8 @@ class Csr:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Check CSR structural invariants; raise ``ValueError`` on breakage."""
+        """Check CSR invariants (structure, finite weights); raise
+        ``ValueError`` on breakage."""
         if len(self.indptr) != self.n + 1:
             raise ValueError(f"indptr length {len(self.indptr)} != n+1 = {self.n + 1}")
         if self.indptr[0] != 0:
@@ -145,6 +146,14 @@ class Csr:
             raise ValueError("indices contain out-of-range vertex ids")
         if self.edge_values is not None and len(self.edge_values) != self.m:
             raise ValueError("edge_values length mismatch")
+        if self.edge_values is not None and self.m:
+            bad = np.flatnonzero(~np.isfinite(self.edge_values))
+            if len(bad):
+                e = int(bad[0])
+                src = int(np.searchsorted(self.indptr, e, side="right")) - 1
+                raise ValueError(
+                    f"edge {e} ({src}->{int(self.indices[e])}) has non-finite "
+                    f"weight {self.edge_values[e]}")
 
     # -- basic accessors -----------------------------------------------------
 

@@ -13,6 +13,7 @@ status 2.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -46,6 +47,14 @@ def _open_text(path: PathLike, mode: str):
         except OSError as exc:
             raise GraphIOError(exc.strerror or str(exc), path=path) from exc
     return open(Path(path), mode, encoding="utf-8")
+
+
+def _check_weight(w: float, line: str, path: PathLike, lineno: int) -> None:
+    """Reject NaN/inf weights where they are read: downstream relaxations
+    (SSSP's near/far pile) never settle on a non-finite priority."""
+    if not math.isfinite(w):
+        raise GraphIOError(f"non-finite edge weight: {line.strip()!r}",
+                           path=path, line=lineno)
 
 
 # -- SNAP-style edge lists ----------------------------------------------------
@@ -86,6 +95,8 @@ def read_edgelist(path: PathLike, n: Optional[int] = None,
             except ValueError:
                 raise GraphIOError(f"non-numeric edge entry: {line!r}",
                                    path=path, line=lineno) from None
+            if len(parts) >= 3:
+                _check_weight(vals[-1], line, path, lineno)
             if vals and len(vals) != len(srcs):
                 raise GraphIOError(
                     "some edges have weights and some do not",
@@ -168,6 +179,8 @@ def read_matrix_market(path: PathLike, undirected: Optional[bool] = None) -> Csr
             except (ValueError, IndexError):
                 raise GraphIOError(f"malformed entry: {line.strip()!r}",
                                    path=path, line=lineno) from None
+            if vals is not None:
+                _check_weight(vals[i], line, path, lineno)
     coo = Coo(src, dst, rows, vals)
     if undirected is None:
         undirected = symmetric
@@ -204,8 +217,11 @@ def read_npz(path: PathLike) -> Csr:
             raise GraphIOError("not a repro CSR snapshot "
                                "(missing 'indptr'/'indices')", path=path)
         values = data["edge_values"] if "edge_values" in data else None
-        return Csr(data["indptr"], data["indices"], values,
-                   n=int(data["n"]))
+        try:
+            return Csr(data["indptr"], data["indices"], values,
+                       n=int(data["n"]))
+        except ValueError as exc:
+            raise GraphIOError(str(exc), path=path) from None
 
 
 # -- DIMACS ssp (.gr) ----------------------------------------------------------
@@ -237,6 +253,7 @@ def read_dimacs(path: PathLike) -> Csr:
                     srcs.append(int(s) - 1)
                     dsts.append(int(d) - 1)
                     vals.append(float(w))
+                    _check_weight(vals[-1], line, path, lineno)
                 else:
                     raise GraphIOError(
                         f"unexpected DIMACS line: {line.strip()!r}",

@@ -77,6 +77,13 @@ def test_validate_rejects_weight_length():
             edge_values=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_rejects_non_finite_weights(bad):
+    # sssp on this graph used to spin forever in the near/far pile
+    with pytest.raises(ValueError, match=r"edge 2 \(1->2\) has non-finite"):
+        from_edges([(0, 1), (1, 2), (0, 2)], n=3, weights=[1, bad, 1])
+
+
 def test_edge_sources(tiny_graph):
     src = tiny_graph.edge_sources
     assert len(src) == tiny_graph.m

@@ -217,6 +217,43 @@ def test_npz_not_a_snapshot(tmp_path):
         io.read_npz(p)
 
 
+def test_matrix_market_rejects_nan_weight(tmp_path):
+    p = tmp_path / "nan.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                 "3 3 3\n1 2 1\n2 3 nan\n1 3 1\n")
+    with pytest.raises(io.GraphIOError, match="non-finite") as err:
+        io.read_matrix_market(p)
+    assert f"{p}:4:" in str(err.value)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_edgelist_rejects_non_finite_weight(tmp_path, weight):
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1 1\n1 2 {weight}\n0 2 1\n")
+    with pytest.raises(io.GraphIOError, match="non-finite") as err:
+        io.read_edgelist(p)
+    assert err.value.line == 2
+
+
+def test_dimacs_rejects_non_finite_weight(tmp_path):
+    p = tmp_path / "g.gr"
+    p.write_text("p sp 3 3\na 1 2 1\na 2 3 inf\na 1 3 1\n")
+    with pytest.raises(io.GraphIOError, match="non-finite") as err:
+        io.read_dimacs(p)
+    assert err.value.line == 3
+
+
+def test_npz_rejects_non_finite_weight(tmp_path):
+    import numpy as _np
+
+    p = tmp_path / "nan.npz"
+    _np.savez(p, indptr=_np.array([0, 2, 3, 3]), indices=_np.array([1, 2, 2]),
+              edge_values=_np.array([1.0, 1.0, _np.nan]), n=_np.int64(3))
+    with pytest.raises(io.GraphIOError, match="non-finite") as err:
+        io.read_npz(p)
+    assert str(p) in str(err.value)
+
+
 def test_cli_exits_2_on_bad_graph(tmp_path, capsys):
     from repro.cli import main
 
