@@ -30,7 +30,11 @@ Every engine shares one pooled measurement per cell, so the three ratios
 are read against the same baseline: ``pooled_speedup`` =
 unpooled_ms / pooled_ms, ``fused_speedup`` = pooled_ms / fused_ms and
 ``la_ratio`` = pooled_ms / la_ms (>1 means la is faster; the la backend
-is a GraphBLAS-style cross-check and makes no speedup promise).
+is a GraphBLAS-style cross-check and makes no speedup promise).  la is
+timed only on the primitives it lowers (``repro.la.backend.RUNNERS``);
+on the other cells an la run is the pooled loop after a fallback, so
+``la_ms``, ``la_ratio`` and ``la_alloc`` are ``null`` there and the la
+geomean covers the lowered cells only.
 
 Each cell's ``contract`` bit is the verdict of the tier-1 differential
 harness, ``tests/engines.py::run_all_engines``, run once per cell with a
@@ -176,6 +180,13 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def timed_engines(primitive: str) -> tuple:
+    """The engines a cell times: la only where it has a lowering."""
+    from repro.la.backend import RUNNERS
+
+    return tuple(e for e in ENGINES if e != "la" or primitive in RUNNERS)
+
+
 def run_benchmark(quick: bool, out_path: Path, pairs: int, reps: int) -> dict:
     cells = []
     for gname, gspec in GRAPHS[quick].items():
@@ -183,11 +194,12 @@ def run_benchmark(quick: bool, out_path: Path, pairs: int, reps: int) -> dict:
         for primitive in PRIMITIVES:
             print(f"[cell] {primitive}/{gname} ...", flush=True)
             contract = check_contract(primitive, graph)
-            mins = {eng: [] for eng in ENGINES}
+            engines = timed_engines(primitive)
+            mins = {eng: [] for eng in engines}
             allocs = {}
             for rnd in range(pairs):
                 # alternate the engine order so slow drift cancels
-                order = ENGINES if rnd % 2 == 0 else ENGINES[::-1]
+                order = engines if rnd % 2 == 0 else engines[::-1]
                 for eng in order:
                     child = spawn_cell({"primitive": primitive,
                                         "graph": gspec, "engine": eng,
@@ -196,18 +208,20 @@ def run_benchmark(quick: bool, out_path: Path, pairs: int, reps: int) -> dict:
                     allocs[eng] = {
                         "peak_kb": round(child["alloc_peak_kb"], 1),
                         "blocks": child["alloc_blocks"]}
-            ms = {eng: min(mins[eng]) for eng in ENGINES}
+            ms = {eng: min(mins[eng]) for eng in engines}
             cell = {"primitive": primitive, "graph": gname,
                     "n": int(graph.n), "m": int(graph.m), **contract}
             for eng in ENGINES:
-                cell[f"{eng}_ms"] = round(ms[eng], 3)
-                cell[f"{eng}_alloc"] = allocs[eng]
+                cell[f"{eng}_ms"] = round(ms[eng], 3) if eng in ms else None
+                cell[f"{eng}_alloc"] = allocs.get(eng)
             for key, (num, den) in RATIOS.items():
-                cell[key] = round(ms[num] / ms[den], 4)
+                cell[key] = round(ms[num] / ms[den], 4) \
+                    if den in ms else None
             print("       " + "   ".join(f"{eng} {ms[eng]:8.1f} ms"
-                                         for eng in ENGINES), flush=True)
+                                         for eng in engines), flush=True)
             print("       " + "   ".join(f"{key} {cell[key]:.2f}x"
-                                         for key in RATIOS)
+                                         for key in RATIOS
+                                         if cell[key] is not None)
                   + f"   contract={cell['contract']}", flush=True)
             if not cell["contract"]:
                 print(f"       {cell['contract_error']}", flush=True)
@@ -226,7 +240,8 @@ def run_benchmark(quick: bool, out_path: Path, pairs: int, reps: int) -> dict:
         "cells": cells,
     }
     for key in RATIOS:
-        report[f"geomean_{key}"] = round(geomean(c[key] for c in cells), 4)
+        report[f"geomean_{key}"] = round(
+            geomean(c[key] for c in cells if c[key] is not None), 4)
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     print()

@@ -357,8 +357,8 @@ def cmd_run(args) -> int:
     src = args.src if args.src is not None else int(g.out_degrees.argmax())
     machine = Machine()
     ctx = sanitize(strict=True) if args.sanitize else nullcontext()
-    # --engine overrides REPRO_ENGINE / REPRO_POOLING for this run; the
-    # default (None) keeps whatever the environment selected.
+    # --engine overrides REPRO_ENGINE for this run; the default (None)
+    # keeps whatever the environment selected.
     eng_ctx = engine(args.engine) if getattr(args, "engine", None) \
         else nullcontext()
     clear_fallbacks()
@@ -544,10 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="execution engine: library loop without/with memory "
                         "pooling, the trace-guided fused specializer, or "
-                        "the linear-algebra (masked SpMV/SpMSpV) backend "
+                        "the linear-algebra (masked SpMV/SpMSpV) backend, "
+                        "which lowers bfs, pagerank and triangles "
                         "(both fall back to pooled when a run has no "
                         "specialization); "
-                        "default honors REPRO_ENGINE / REPRO_POOLING")
+                        "default honors REPRO_ENGINE, else pooled")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output: counters, timings, and "
                         "crc32 checksums of every result array")

@@ -6,7 +6,7 @@ The repo grew four ways to run a primitive:
   no artifact reuse.  Slow, obviously correct, the reference the other
   two are pinned against.
 * **pooled** — library operators over the pooled workspace + graph
-  artifact cache (the production default since the memory-pooling PR).
+  artifact cache (the default).
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
   super-step loop with no intermediate frontier materialization.  Only
@@ -19,11 +19,12 @@ The repo grew four ways to run a primitive:
   per primitive.  Primitives without a linear-algebra lowering fall
   back to pooled with a logged reason (DESIGN §16).
 
-Selection mirrors the pooling toggle exactly (env var, process-wide
-setter, scoped context manager) because the engines nest: ``fused``
-implies the pooled workspace, ``unpooled`` implies pooling off.  The
-legacy ``REPRO_POOLING`` env var stays honored — it picks the default
-between unpooled and pooled when ``REPRO_ENGINE`` is unset.
+The engine is the one execution-mode knob: ``unpooled`` is the only
+engine that builds unpooled workspaces, every other engine pools (the
+fused specializer and the linear-algebra backend run on pooled
+artifacts).  Select it with the ``REPRO_ENGINE`` env var (read once at
+import; default ``pooled``), the process-wide :func:`set_engine`, or the
+scoped :func:`engine` context manager.
 """
 
 from __future__ import annotations
@@ -32,62 +33,44 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
-from .workspace import pooling_enabled, set_pooling
-
 ENGINES = ("unpooled", "pooled", "fused", "la")
 
-#: process-wide override; None = derive from the pooling toggle
-_ENGINE: Optional[str] = None
 
-
-def _env_engine() -> Optional[str]:
+def _env_engine() -> str:
     raw = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    return raw if raw in ENGINES else None
+    return raw if raw in ENGINES else "pooled"
+
+
+_ENGINE: str = _env_engine()
+#: whether new problems build pooled workspaces; derived from the engine
+#: and kept as a plain global so hot-path readers pay one lookup
+POOLED: bool = _ENGINE != "unpooled"
 
 
 def engine_mode() -> str:
-    """The engine new enactor runs will use.
-
-    Resolution order: explicit :func:`set_engine` override, then the
-    ``REPRO_ENGINE`` env var, then the pooling toggle (``pooled`` when
-    pooling is on — the default — else ``unpooled``).
-    """
-    if _ENGINE is not None:
-        return _ENGINE
-    env = _env_engine()
-    if env is not None:
-        return env
-    return "pooled" if pooling_enabled() else "unpooled"
+    """The engine new enactor runs will use."""
+    return _ENGINE
 
 
 def set_engine(mode: str) -> str:
-    """Select the engine process-wide; returns the previous resolved mode.
-
-    Keeps the pooling toggle consistent: the fused specializer and the
-    linear-algebra backend run on pooled artifacts, so ``fused``, ``la``
-    (and ``pooled``) force pooling on and ``unpooled`` forces it off.
-    """
-    global _ENGINE
+    """Select the engine process-wide; returns the previous mode."""
+    global _ENGINE, POOLED
     if mode not in ENGINES:
         raise ValueError(f"unknown engine {mode!r}; expected one of {ENGINES}")
-    previous = engine_mode()
+    previous = _ENGINE
     _ENGINE = mode
-    set_pooling(mode != "unpooled")
+    POOLED = mode != "unpooled"
     return previous
 
 
 @contextmanager
 def engine(mode: str) -> Iterator[None]:
     """Scoped engine selection: ``with engine("fused"): ...``."""
-    global _ENGINE
-    prev_override = _ENGINE
-    prev_pooling = pooling_enabled()
-    set_engine(mode)
+    previous = set_engine(mode)
     try:
         yield
     finally:
-        _ENGINE = prev_override
-        set_pooling(prev_pooling)
+        set_engine(previous)
 
 
 # -- fallback bookkeeping ----------------------------------------------------

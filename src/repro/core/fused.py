@@ -598,8 +598,6 @@ def try_fused(enactor, frontier: Frontier) -> Optional[Frontier]:
     plan = None
     if entry is None:
         reason = f"no fused runner for primitive '{name}'"
-    elif not enactor.workspace.pooled:
-        reason = "fused plans require the pooled workspace"
     elif enactor.sanitize or current_sanitizer() is not None:
         reason = "sanitizer active: library operators carry the kernel scopes"
     elif enactor.injector is not None or enactor.checkpoints is not None:

@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 
 from ...simt.machine import GPUSpec
-from ..workspace import pooling_enabled
+from .. import engine as _engine
 
 
 @dataclass
@@ -57,9 +57,9 @@ def pad_reshape(degrees: np.ndarray, tile: int) -> np.ndarray:
     to ``(n_tiles, tile)`` — the vectorized form of 'assign a subset of the
     frontier to a block'.
 
-    When pooling is enabled globally, the padded buffer is reused across
-    calls (zeroing only the pad tail); the returned view is valid until
-    the next ``pad_reshape`` with the same tile width.
+    Under every pooling engine (all but ``unpooled``), the padded buffer
+    is reused across calls (zeroing only the pad tail); the returned view
+    is valid until the next ``pad_reshape`` with the same tile width.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = len(degrees)
@@ -67,7 +67,7 @@ def pad_reshape(degrees: np.ndarray, tile: int) -> np.ndarray:
         return np.zeros((0, tile), dtype=np.int64)
     n_tiles = -(-n // tile)
     size = n_tiles * tile
-    if pooling_enabled():
+    if _engine.POOLED:
         buf = _pad_scratch.get(tile)
         if buf is None or len(buf) < size:
             cap = max(size, 2 * len(buf) if buf is not None else size)

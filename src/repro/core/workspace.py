@@ -27,50 +27,23 @@ Pooling invariants (see DESIGN.md §10):
   identical arrays and identical simulated-cycle counters; the property
   tests in ``tests/test_property_based.py`` enforce this.
 
-The global pooling switch (:func:`set_pooling` / :func:`pooling` /
-``REPRO_POOLING=0``) is captured by each :class:`Workspace` at
-construction time — i.e. per problem — so a single benchmark process can
-build pooled and unpooled problems side by side.
+Whether a :class:`Workspace` pools is decided by the engine
+(:mod:`repro.core.engine`: every engine but ``unpooled`` pools) and is
+captured at construction time — i.e. per problem — so a single
+benchmark process can build pooled and unpooled problems side by side.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from . import engine as _engine
 
 #: minimum backing-buffer length; avoids churning tiny buffers while a
 #: frontier ramps up from a single source vertex
 _MIN_CAPACITY = 1024
-
-_env = os.environ.get("REPRO_POOLING", "1").strip().lower()
-_POOLING_ENABLED: bool = _env not in ("0", "false", "off", "no")
-
-
-def pooling_enabled() -> bool:
-    """Whether new Workspaces (new problems) default to pooled mode."""
-    return _POOLING_ENABLED
-
-
-def set_pooling(enabled: bool) -> bool:
-    """Set the global pooling default; returns the previous value."""
-    global _POOLING_ENABLED
-    prev = _POOLING_ENABLED
-    _POOLING_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def pooling(enabled: bool) -> Iterator[None]:
-    """Scoped pooling toggle: problems built inside the block capture
-    the given mode (the benchmark's pooled-vs-unpooled A/B switch)."""
-    prev = set_pooling(enabled)
-    try:
-        yield
-    finally:
-        set_pooling(prev)
 
 
 def _capacity_for(size: int) -> int:
@@ -95,7 +68,7 @@ class Workspace:
                  "stats")
 
     def __init__(self, pooled: Optional[bool] = None):
-        self.pooled = pooling_enabled() if pooled is None else bool(pooled)
+        self.pooled = _engine.POOLED if pooled is None else bool(pooled)
         self._pools: Dict[Tuple[str, np.dtype], np.ndarray] = {}
         self._iota: Optional[np.ndarray] = None
         self._true: Optional[np.ndarray] = None

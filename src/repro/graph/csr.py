@@ -146,6 +146,10 @@ class Csr:
             raise ValueError("indices contain out-of-range vertex ids")
         if self.edge_values is not None and len(self.edge_values) != self.m:
             raise ValueError("edge_values length mismatch")
+        self._check_finite_weights()
+
+    def _check_finite_weights(self) -> None:
+        """Raise ``ValueError`` naming the first non-finite edge weight."""
         if self.edge_values is not None and self.m:
             bad = np.flatnonzero(~np.isfinite(self.edge_values))
             if len(bad):
@@ -231,11 +235,14 @@ class Csr:
     # -- transformations ------------------------------------------------------
 
     def with_edge_values(self, values: np.ndarray) -> "Csr":
-        """Return a copy of this topology with new edge weights attached."""
+        """Return a copy of this topology with new edge weights attached
+        (the topology is trusted; the weights must be finite)."""
         if len(values) != self.m:
             raise ValueError("edge value array length mismatch")
-        return Csr(self.indptr, self.indices, np.asarray(values), n=self.n,
-                   validate=False)
+        g = Csr(self.indptr, self.indices, np.asarray(values), n=self.n,
+                validate=False)
+        g._check_finite_weights()
+        return g
 
     def share_topology_caches(self, src: "Csr") -> None:
         """Adopt ``src``'s topology-derived caches (degrees, iota ramps,

@@ -8,12 +8,12 @@ contract against the operator engines.
 """
 
 from .backend import RUNNERS, SEMIRING_OF, try_la
-from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
-                       SEMIRINGS, Semiring, spmspv, spmv)
+from .semiring import (BOOL_OR_AND, PLUS_TIMES, SEMIRINGS, Semiring, spmspv,
+                       spmv)
 from .spgemm import try_triangles_la
 
 __all__ = [
-    "BOOL_OR_AND", "MIN_PLUS", "MIN_SELECT", "PLUS_TIMES", "RUNNERS",
+    "BOOL_OR_AND", "PLUS_TIMES", "RUNNERS",
     "SEMIRINGS", "SEMIRING_OF", "Semiring", "spmspv", "spmv", "try_la",
     "try_triangles_la",
 ]

@@ -1,24 +1,16 @@
 """The linear-algebra executor backend: primitives as masked SpMV/SpMSpV.
 
 ``try_la`` is the engine hook :meth:`EnactorBase._try_backend` calls
-when ``--engine la`` is selected.  Each supported primitive has a
-(precheck, runner) pair, exactly like :mod:`repro.core.fused`: the
-precheck returns a fallback reason (configurations whose schedule the
-LA lowering cannot reproduce take the pooled library loop, with the
-reason recorded on the engine fallback log), the runner executes the
-whole primitive as a loop of semiring products over the frozen CSR/CSC
-artifacts.
+when ``--engine la`` is selected.  Each lowered primitive has a runner
+that executes the whole primitive as a loop of semiring products over
+the frozen CSR/CSC artifacts; every other run takes the pooled library
+loop, with the reason recorded on the engine fallback log.
 
 Equivalence contract (DESIGN §16) against the operator engines:
 
 * **bfs** — ``labels`` bitwise (per-level discovered sets are
   schedule-independent); ``preds`` valid shortest-path parents (the LA
   witness is the minimum-id frontier parent, a relaxed array).
-* **sssp** — ``labels`` bitwise (min-plus fixpoint over non-negative
-  weights is schedule-independent; IEEE addition is monotone);
-  ``preds`` satisfy ``labels[pred[v]] + w == labels[v]`` exactly.
-* **cc** — ``component_ids`` bitwise (both engines converge to the
-  component-minimum vertex id).
 * **pagerank / ppr** — ``rank`` within documented tolerance (the LA
   loop replays the pooled residual schedule, so in practice the arrays
   match bitwise; the contract only promises ``allclose``).
@@ -28,32 +20,34 @@ BFS runner feeds the existing :class:`DirectionOptimizer` signals and
 lowers push steps to SpMSpV, pull steps to masked SpMV; PageRank/PPR
 switch to the cached transpose SpMV once the frontier's edge volume
 reaches ``n``.
+
+sssp and cc have no lowering: a synchronous min-plus relaxation and a
+min-select Jacobi sweep lose to the pooled loop on every benchmark cell
+(O(diameter) full products), so both fall back to pooled with the
+"no linear-algebra lowering" reason and are then bitwise-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..analysis.sanitizer import current_sanitizer
 from ..core.engine import engine_mode, record_fallback
-from ..core.frontier import Frontier, FrontierKind
+from ..core.frontier import Frontier
 from ..core.fused import _transpose_ones
 from ..obs.spans import CAT_LA, current_observer, span as obs_span
 from ..simt import calib
-from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
-                       Semiring, spmspv, spmv)
+from .semiring import BOOL_OR_AND, PLUS_TIMES, Semiring, spmspv, spmv
 
 EMPTY = np.zeros(0, dtype=np.int64)
 
 #: primitive -> the semiring its lowering reduces over (DESIGN §16 table)
 SEMIRING_OF: Dict[str, Semiring] = {
     "bfs": BOOL_OR_AND,
-    "sssp": MIN_PLUS,
     "pagerank": PLUS_TIMES,
     "ppr": PLUS_TIMES,
-    "cc": MIN_SELECT,
     "triangles": PLUS_TIMES,
 }
 
@@ -86,10 +80,6 @@ def _step(en, machine, it: int) -> int:
 
 
 # --------------------------------------------------------------------- BFS
-
-def _precheck_bfs(en) -> Optional[str]:
-    return None
-
 
 def _run_bfs(en, frontier: Frontier) -> Frontier:
     P = en.problem
@@ -141,88 +131,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     return Frontier(f)
 
 
-# -------------------------------------------------------------------- SSSP
-
-def _precheck_sssp(en) -> Optional[str]:
-    if en.max_iterations is not None:
-        return ("iteration-capped sssp is schedule-dependent; the "
-                "synchronous min-plus relaxation only matches at the "
-                "fixpoint")
-    return None
-
-
-def _run_sssp(en, frontier: Frontier) -> Frontier:
-    P = en.problem
-    g = P.graph
-    machine = P.machine
-    labels = P.labels
-    preds = P.preds
-    weights = P.weights
-    f = frontier.items
-    it = 0
-    while len(f):
-        ne = int(g.degrees_of(f).sum())
-        ids, vals, wit = spmspv(g, f, labels[f], MIN_PLUS,
-                                edge_values=weights, witness=True)
-        _charge_product(machine, "la_spmspv[min_plus]", ne, it)
-        if len(ids):
-            improved = vals < labels[ids]
-            ids, vals, wit = ids[improved], vals[improved], wit[improved]
-            labels[ids] = vals
-            preds[ids] = wit
-        _charge_commit(machine, len(ids), len(ids), it)
-        f = ids
-        it = _step(en, machine, it)
-    return Frontier(f)
-
-
-# ---------------------------------------------------------------------- CC
-
-def _precheck_cc(en) -> Optional[str]:
-    if en.alternate:
-        return ("alternating hook schedule has no semiring lowering; "
-                "min-propagation commits to one reduction")
-    if en.max_iterations is not None:
-        return ("iteration-capped cc is schedule-dependent; Jacobi "
-                "min-propagation only matches at the fixpoint")
-    return None
-
-
-def _run_cc(en, frontier: Frontier) -> Frontier:
-    P = en.problem
-    g = P.graph
-    machine = P.machine
-    cid = P.component_ids
-    n = g.n
-    it = 0
-    if g.m:
-        all_ids = g.artifacts.iota_n
-        rev = g.csc
-        while True:
-            # symmetric Jacobi sweep: min over out- and in-neighbors
-            ids_out, min_out = spmspv(g, all_ids, cid, MIN_SELECT)
-            ids_in, min_in = spmspv(rev, all_ids, cid, MIN_SELECT)
-            new = cid.copy()
-            new[ids_out] = np.minimum(new[ids_out], min_out)
-            new[ids_in] = np.minimum(new[ids_in], min_in)
-            changed = int(np.count_nonzero(new != cid))
-            np.copyto(cid, new)
-            _charge_product(machine, "la_spmspv[min_select]", 2 * g.m, it)
-            _charge_commit(machine, n, changed, it)
-            it = _step(en, machine, it)
-            if changed == 0:
-                break
-    return Frontier(EMPTY, FrontierKind.EDGE)
-
-
 # -------------------------------------------------------- PageRank and PPR
-
-def _precheck_pagerank(en) -> Optional[str]:
-    return None
-
-
-_precheck_ppr = _precheck_pagerank
-
 
 def _run_pagerank(en, frontier: Frontier) -> Frontier:
     """Shared PageRank/PPR loop: same residual schedule as the operator
@@ -280,18 +189,13 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     return Frontier(f)
 
 
-_run_ppr = _run_pagerank
-
-
 # ------------------------------------------------------------- dispatcher
 
-#: primitive name -> (precheck, runner)
-RUNNERS: Dict[str, Tuple[Callable, Callable]] = {
-    "bfs": (_precheck_bfs, _run_bfs),
-    "sssp": (_precheck_sssp, _run_sssp),
-    "pagerank": (_precheck_pagerank, _run_pagerank),
-    "ppr": (_precheck_ppr, _run_ppr),
-    "cc": (_precheck_cc, _run_cc),
+#: primitive name -> runner (the primitives the la engine lowers)
+RUNNERS: Dict[str, Callable] = {
+    "bfs": _run_bfs,
+    "pagerank": _run_pagerank,
+    "ppr": _run_pagerank,
 }
 
 
@@ -315,19 +219,15 @@ def try_la(enactor, frontier: Frontier) -> Optional[Frontier]:
     if engine_mode() != "la":
         return None
     name = enactor.primitive_name
-    entry = RUNNERS.get(name)
+    runner = RUNNERS.get(name)
     reason: Optional[str] = None
-    if entry is None:
+    if runner is None:
         reason = f"no linear-algebra lowering for primitive '{name}'"
-    elif not enactor.workspace.pooled:
-        reason = "the la backend requires the pooled workspace"
     elif enactor.sanitize or current_sanitizer() is not None:
         reason = "sanitizer active: library operators carry the kernel scopes"
     elif enactor.injector is not None or enactor.checkpoints is not None:
         reason = ("resilience hooks active: fault windows exist only in "
                   "the library loop")
-    else:
-        reason = entry[0](enactor)
     if reason is not None:
         record_fallback(name, reason)
         _count_dispatch(name, "pooled")
@@ -337,6 +237,6 @@ def try_la(enactor, frontier: Frontier) -> Optional[Frontier]:
     sp = obs_span(f"la:{name}", CAT_LA, machine, primitive=name,
                   semiring=SEMIRING_OF[name].name)
     with sp:
-        out = entry[1](enactor, frontier)
+        out = runner(enactor, frontier)
         sp.set(iterations=enactor.iteration)
     return out

@@ -3,9 +3,8 @@
 The GraphBLAS view of a frontier operation: the graph is a sparse
 boolean (or weighted) matrix ``A``, the frontier is a vector ``x``, and
 one advance step is ``y = xᵀ ⊗.⊕ A`` under a primitive-specific
-semiring — min-plus for SSSP relaxation, boolean or-and for BFS
-reachability, plus-times for PageRank/PPR mass propagation, min-select
-for connected-components label diffusion.  A *mask* restricts which
+semiring — boolean or-and for BFS reachability, plus-times for
+PageRank/PPR mass propagation (and, as SpGEMM, triangle counting).  A *mask* restricts which
 output slots may receive values; BFS's visited set enters as a
 structural complement mask (``mask_complement=True``).
 
@@ -22,12 +21,16 @@ order* (via ``np.bincount``) rather than ``np.add.reduceat`` — numpy's
 reduceat uses pairwise summation, which is not bitwise-identical to the
 operator engines' segmented-sum lowering; min/or monoids are exact in
 any order and reduce with ``ufunc.reduceat``.
+
+Every product is over the structural (unit-valued) matrix: the lowered
+primitives fold per-edge values (PageRank's 1/degree) into the vector
+before the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,61 +43,38 @@ _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 class Semiring:
     """An (⊕, ⊗) pair over a value domain.
 
-    ``add`` is the reduction monoid (a numpy ufunc), ``identity`` its
-    unit, and ``mul`` combines a lane's vector value with its edge value
-    (``None`` edge values mean the structural matrix: every stored edge
-    is an implicit ⊗-unit).
+    ``add`` is the reduction monoid (a numpy ufunc) and ``identity`` its
+    unit.  ⊗ never runs: every product is over the structural matrix,
+    whose stored edges are all the ⊗-unit, so a lane carries its vector
+    value unchanged.
     """
 
     name: str
     add: np.ufunc
     identity: object
     dtype: object
-    mul: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 
 
-def _plus(x: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    return x if w is None else x + w
-
-
-def _times(x: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    return x if w is None else x * w
-
-
-def _and(x: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    return x if w is None else np.logical_and(x, w != 0)
-
-
-def _select_first(x: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    return x
-
-
-#: SSSP relaxation: candidate distance = dist[u] + w(u, v), keep the min.
-MIN_PLUS = Semiring("min_plus", np.minimum, np.inf, np.float64, _plus)
 #: BFS reachability: reached = OR over frontier in-neighbors.
-BOOL_OR_AND = Semiring("bool_or_and", np.logical_or, False, np.bool_, _and)
+BOOL_OR_AND = Semiring("bool_or_and", np.logical_or, False, np.bool_)
 #: PageRank/PPR mass propagation: residual inflow = Σ contributions.
-PLUS_TIMES = Semiring("plus_times", np.add, 0.0, np.float64, _times)
-#: CC label diffusion: take the smallest neighbor component id.
-MIN_SELECT = Semiring("min_select", np.minimum, INT64_MAX, np.int64,
-                      _select_first)
+PLUS_TIMES = Semiring("plus_times", np.add, 0.0, np.float64)
 
-SEMIRINGS = {s.name: s for s in (MIN_PLUS, BOOL_OR_AND, PLUS_TIMES,
-                                 MIN_SELECT)}
+SEMIRINGS = {s.name: s for s in (BOOL_OR_AND, PLUS_TIMES)}
 
 
 def _expand(graph, x_ids: np.ndarray):
-    """Edge lanes of the rows in ``x_ids``: (eids, dst, src, degs, ne)."""
+    """Edge lanes of the rows in ``x_ids``: (dst, src, degs, ne)."""
     degs = graph.degrees_of(x_ids)
     ne = int(degs.sum())
     if ne == 0:
-        return _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS, degs, 0
+        return _EMPTY_IDS, _EMPTY_IDS, degs, 0
     offsets = np.concatenate(([0], np.cumsum(degs)))[:-1]
     starts = graph.indptr[x_ids].astype(np.int64)
     eids = np.repeat(starts - offsets, degs) + np.arange(ne, dtype=np.int64)
     dst = graph.indices[eids].astype(np.int64)
     src = np.repeat(x_ids, degs)
-    return eids, dst, src, degs, ne
+    return dst, src, degs, ne
 
 
 def _empty(semiring: Semiring, witness: bool):
@@ -105,7 +85,6 @@ def _empty(semiring: Semiring, witness: bool):
 
 
 def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
-           edge_values: Optional[np.ndarray] = None,
            mask: Optional[np.ndarray] = None,
            mask_complement: bool = False,
            witness: bool = False) -> Tuple[np.ndarray, ...]:
@@ -124,12 +103,10 @@ def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
     deterministic parent/predecessor witness).
     """
     x_ids = np.asarray(x_ids, dtype=np.int64)
-    eids, dst, src, degs, ne = _expand(graph, x_ids)
+    dst, src, degs, ne = _expand(graph, x_ids)
     if ne == 0:
         return _empty(semiring, witness)
-    xl = np.repeat(np.asarray(x_vals, dtype=semiring.dtype), degs)
-    ev = None if edge_values is None else np.asarray(edge_values)[eids]
-    vals = semiring.mul(xl, ev)
+    vals = np.repeat(np.asarray(x_vals, dtype=semiring.dtype), degs)
     if mask is not None:
         keep = ~mask[dst] if mask_complement else mask[dst]
         dst, src, vals = dst[keep], src[keep], vals[keep]

@@ -17,7 +17,7 @@ replays the iteration on ``k-1`` devices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..graph.csr import Csr
 from ..resilience.faults import DeviceLost
 from ..resilience.recovery import RetryPolicy
 from ..simt import calib
-from .bfs import _recover_device_loss
+from .bfs import _local_positions, _recover_device_loss
 from .machine import MultiMachine
 from .partition import PartitionedGraph, partition_1d
 
@@ -56,8 +56,6 @@ def multi_gpu_pagerank(graph: Csr, k: int = 2, *, damping: float = 0.85,
     ``faults`` / ``retry`` enable fault-tolerant execution
     (:mod:`repro.resilience`); ranks are identical to the fault-free run.
     """
-    n = max(1, graph.n)
-    tol = (0.01 / n) if tolerance is None else tolerance
     pg: PartitionedGraph = partition_1d(graph, k, method=method)
     mm = machine if machine is not None else MultiMachine(k=k)
     if mm.k != k:
@@ -65,17 +63,40 @@ def multi_gpu_pagerank(graph: Csr, k: int = 2, *, damping: float = 0.85,
     if faults is not None or retry is not None:
         mm.attach(faults, retry)
 
+    rank, iterations = residual_push(graph, pg, mm, damping=damping,
+                                     tolerance=tolerance,
+                                     max_iterations=max_iterations)
+    return MultiPagerankResult(rank=rank, iterations=iterations,
+                               elapsed_ms=mm.elapsed_ms(),
+                               compute_ms=mm.compute_ms(), comm_ms=mm.comm_ms,
+                               recovery=mm.recovery_summary())
+
+
+def residual_push(graph: Csr, pg: PartitionedGraph, mm: MultiMachine, *,
+                  damping: float, tolerance: Optional[float],
+                  max_iterations: int) -> Tuple[np.ndarray, int]:
+    """The residual-push loop over ``pg``'s devices; returns ``(rank,
+    iterations)``.
+
+    Shared by :func:`multi_gpu_pagerank` and the serving tier's fan-out
+    (:func:`repro.serve.shard.fanout_pagerank`).  A device ``mm`` reports
+    dead before the first step neither scatters nor commits, so its
+    vertices keep the base rank; after a mid-run device loss the dead
+    slot is empty (:func:`~repro.multi.partition.redistribute`), so the
+    same guards are no-ops there.
+    """
+    n = max(1, graph.n)
+    tol = (0.01 / n) if tolerance is None else tolerance
     base = (1.0 - damping) / n
     rank = np.full(graph.n, base)
     residual = np.full(graph.n, base)
     degrees = np.maximum(graph.out_degrees, 1).astype(np.float64)
+    local_pos = _local_positions(pg, graph.n)
 
-    local_pos = np.zeros(graph.n, dtype=np.int64)
-    for part in pg.parts:
-        local_pos[part.vertices] = np.arange(part.n_local)
-
+    empty = np.zeros(0, dtype=np.int64)
     active = [part.vertices[residual[part.vertices] > tol]
-              for part in pg.parts]
+              if mm.is_alive(d) else empty
+              for d, part in enumerate(pg.parts)]
     iterations = 0
     while any(len(a) for a in active) and iterations < max_iterations:
         iterations += 1
@@ -138,21 +159,19 @@ def multi_gpu_pagerank(graph: Csr, k: int = 2, *, damping: float = 0.85,
                                              iteration=iterations)
             mm.end_step()
         except DeviceLost as fault:
-            in_flight = np.concatenate(active) if k > 1 else active[0]
             pg, local_pos, active = _recover_device_loss(
-                mm, pg, fault, in_flight)
+                mm, pg, fault, np.concatenate(active))
             iterations -= 1
             continue
         new_active = []
         for d, part in enumerate(pg.parts):
+            if not mm.is_alive(d):
+                new_active.append(empty)
+                continue
             verts = part.vertices
             res = residual_next[verts]
             rank[verts] += res
             residual[verts] = res
             new_active.append(verts[res > tol])
         active = new_active
-
-    return MultiPagerankResult(rank=rank, iterations=iterations,
-                               elapsed_ms=mm.elapsed_ms(),
-                               compute_ms=mm.compute_ms(), comm_ms=mm.comm_ms,
-                               recovery=mm.recovery_summary())
+    return rank, iterations

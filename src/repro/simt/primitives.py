@@ -166,17 +166,17 @@ def sort_pairs(keys: np.ndarray, values: np.ndarray,
 def unique_by_sort(keys: np.ndarray, machine: Optional[Machine] = None) -> np.ndarray:
     """Deduplicate via sort + adjacent-difference compaction.
 
-    With pooling enabled globally, dense nonnegative id sets take a
+    Under every pooling engine, dense nonnegative id sets take a
     scatter-and-compact path (mark a bitmap, ``flatnonzero`` it) instead
     of hashing — the output is the same sorted unique array, and the
     simulated charge is identical."""
     keys = np.asarray(keys)
-    # runtime import: simt is a lower layer than core, so the pooling
-    # switch is looked up lazily to keep module import acyclic
-    from ..core.workspace import pooling_enabled
+    # runtime import: simt is a lower layer than core, so the engine
+    # is looked up lazily to keep module import acyclic
+    from ..core import engine
 
     out = None
-    if pooling_enabled() and keys.dtype == np.int64 and len(keys) > 32:
+    if engine.POOLED and keys.dtype == np.int64 and len(keys) > 32:
         hi = int(keys.max()) + 1
         if int(keys.min()) >= 0 and hi <= 4 * len(keys):
             seen = np.zeros(hi, dtype=bool)

@@ -10,9 +10,9 @@ contract it asserts:
   cycles must match pooled exactly; fused additionally matches every
   aggregate counter (the DESIGN §15 pin).
 * **la** follows the per-primitive contract of DESIGN §16
-  (:data:`LA_CONTRACTS`): label arrays bitwise, rank arrays within
-  tolerance, predecessor arrays validated as correct shortest-path
-  parents rather than compared bitwise.  Kernel counters are
+  (:data:`LA_CONTRACTS`): bfs labels bitwise and preds validated as
+  correct BFS parents rather than compared bitwise, rank arrays within
+  tolerance.  Kernel counters are
   *comparable, not identical* — the LA backend launches semiring
   products, not operator kernels — so they are never compared.
   Primitives without an LA lowering must fall back to pooled (reason
@@ -36,8 +36,6 @@ RANK_ATOL = 1e-12
 #: absent here have no LA lowering and are expected to fall back
 LA_CONTRACTS = {
     "bfs": {"bitwise": ("labels",), "validated": ("preds",)},
-    "sssp": {"bitwise": ("labels",), "validated": ("preds",)},
-    "cc": {"bitwise": ("component_ids",)},
     "pagerank": {"tolerance": ("rank",)},
     "ppr": {"tolerance": ("rank",)},
 }
@@ -105,26 +103,6 @@ def _validate_bfs_preds(graph, src, labels, preds):
     assert np.all(preds[labels < 0] == -1)
 
 
-def _validate_sssp_preds(graph, src, labels, preds):
-    assert preds.dtype == np.int64
-    w = graph.artifacts.weights64
-    for v in np.flatnonzero(np.isfinite(labels)):
-        if v == src:
-            continue
-        p = int(preds[v])
-        assert p >= 0, f"reached vertex {v} has no predecessor"
-        eids = range(int(graph.indptr[p]), int(graph.indptr[p + 1]))
-        tight = [e for e in eids
-                 if graph.indices[e] == v and labels[p] + w[e] == labels[v]]
-        assert tight, f"preds[{v}]={p} closes no tight edge"
-    if graph.n:
-        assert preds[src] == src
-    assert np.all(preds[~np.isfinite(labels)] == -1)
-
-
-_PRED_VALIDATORS = {"bfs": _validate_bfs_preds, "sssp": _validate_sssp_preds}
-
-
 def assert_la_contract(primitive, pooled_result, la_result, *,
                        graph=None, params=None):
     """Assert the la result against pooled per :data:`LA_CONTRACTS`."""
@@ -139,11 +117,10 @@ def assert_la_contract(primitive, pooled_result, la_result, *,
         assert np.allclose(a, b, rtol=RANK_RTOL, atol=RANK_ATOL), \
             (primitive, key)
     for key in contract.get("validated", ()):
-        if key not in la_result.arrays:
-            continue
-        validate = _PRED_VALIDATORS[primitive]
-        validate(graph, int(params["src"]),
-                 la_result.arrays["labels"], la_result.arrays[key])
+        if key in la_result.arrays:
+            _validate_bfs_preds(graph, int(params["src"]),
+                                la_result.arrays["labels"],
+                                la_result.arrays[key])
 
 
 def assert_engine_identity(out, primitive, *, graph=None, params=None,

@@ -1,11 +1,11 @@
 """Workspace arena unit tests: scratch pooling, constant views, bitmap
-sparse-clear, expansion memo, pooling switch."""
+sparse-clear, expansion memo, pooling mode taken from the engine."""
 
 import numpy as np
 import pytest
 
-from repro.core.workspace import (Workspace, pooling, pooling_enabled,
-                                  set_pooling, workspace_of)
+from repro.core.engine import engine, engine_mode
+from repro.core.workspace import Workspace, workspace_of
 
 
 # -- take: pooled scratch ---------------------------------------------------
@@ -152,32 +152,22 @@ def test_nbytes_and_clear():
     assert ws.nbytes() == 0
 
 
-# -- pooling switch ---------------------------------------------------------
+# -- pooling mode comes from the engine -------------------------------------
 
 
 def test_pooling_context_restores():
-    before = pooling_enabled()
-    with pooling(not before):
-        assert pooling_enabled() is (not before)
-        ws = Workspace()
-        assert ws.pooled is (not before)
-    assert pooling_enabled() is before
-
-
-def test_set_pooling_returns_previous():
-    before = pooling_enabled()
-    try:
-        assert set_pooling(False) is before
-        assert pooling_enabled() is False
-    finally:
-        set_pooling(before)
+    before = engine_mode()
+    for mode in ("unpooled", "pooled", "fused", "la"):
+        with engine(mode):
+            assert Workspace().pooled is (mode != "unpooled")
+        assert engine_mode() == before
 
 
 def test_workspace_captures_mode_at_construction():
-    with pooling(False):
+    with engine("unpooled"):
         ws = Workspace()
     assert ws.pooled is False
-    with pooling(True):
+    with engine("pooled"):
         assert ws.pooled is False  # captured, not live
 
 

@@ -10,14 +10,14 @@ random interleaving of inserts, deletes, reweights, and compactions,
   artifacts);
 * incremental PageRank is as converged as a from-scratch run, certified
   by the residual-defect bound ``||p − p*||_∞ ≤ ||defect||₁ / (1 − d)``;
-* everything holds identically with workspace pooling on and off.
+* everything holds identically under the unpooled and pooled engines.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.dynamic import (DeltaCsr, GraphUpdate, MutationBatch,
                            WEIGHT_INSENSITIVE, delta_bfs, delta_sssp,
                            incremental_pagerank, random_mutation_batch,
@@ -165,6 +165,9 @@ def test_random_mutation_batch_deterministic(kron_graph):
 # -- incremental-repair equivalence (hypothesis) ------------------------------
 
 
+POOLING_ENGINES = st.sampled_from(("unpooled", "pooled"))
+
+
 @st.composite
 def mutation_scenarios(draw, weighted):
     n = draw(st.integers(min_value=4, max_value=20))
@@ -225,10 +228,10 @@ def _pred_valid(g, labels, preds, src, unit):
             assert (labels[p] + w == labels[v]).any()
 
 
-def _run_scenario(scenario, weighted, use_pooling):
+def _run_scenario(scenario, weighted, mode):
     n, edges, src, steps, wseed = scenario
     g = _chain(edges, n, weighted, wseed=wseed)
-    with pooling(use_pooling):
+    with engine(mode):
         delta = DeltaCsr(g)
         if weighted:
             ref = sssp(g, src, use_priority_queue=False)
@@ -275,16 +278,16 @@ def _run_scenario(scenario, weighted, use_pooling):
                 assert delta.compact() is snap
 
 
-@given(mutation_scenarios(weighted=False), st.booleans())
+@given(mutation_scenarios(weighted=False), POOLING_ENGINES)
 @settings(max_examples=25, deadline=None)
-def test_delta_bfs_equivalence(scenario, use_pooling):
-    _run_scenario(scenario, weighted=False, use_pooling=use_pooling)
+def test_delta_bfs_equivalence(scenario, mode):
+    _run_scenario(scenario, weighted=False, mode=mode)
 
 
-@given(mutation_scenarios(weighted=True), st.booleans())
+@given(mutation_scenarios(weighted=True), POOLING_ENGINES)
 @settings(max_examples=25, deadline=None)
-def test_delta_sssp_equivalence(scenario, use_pooling):
-    _run_scenario(scenario, weighted=True, use_pooling=use_pooling)
+def test_delta_sssp_equivalence(scenario, mode):
+    _run_scenario(scenario, weighted=True, mode=mode)
 
 
 # -- repair_payload (the serving entry point) ---------------------------------

@@ -82,6 +82,11 @@ def test_validate_rejects_non_finite_weights(bad):
     # sssp on this graph used to spin forever in the near/far pile
     with pytest.raises(ValueError, match=r"edge 2 \(1->2\) has non-finite"):
         from_edges([(0, 1), (1, 2), (0, 2)], n=3, weights=[1, bad, 1])
+    # attaching weights to a built topology checks them too (CSR order:
+    # 0->1, 0->2, 1->2)
+    g = from_edges([(0, 1), (1, 2), (0, 2)], n=3)
+    with pytest.raises(ValueError, match=r"edge 2 \(1->2\) has non-finite"):
+        g.with_edge_values([1, 1, bad])
 
 
 def test_edge_sources(tiny_graph):

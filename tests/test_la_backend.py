@@ -12,8 +12,8 @@ from engines import run_all_engines
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
-from repro.la import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
-                      SEMIRING_OF, SEMIRINGS, spmspv, spmv)
+from repro.la import (BOOL_OR_AND, PLUS_TIMES, RUNNERS, SEMIRING_OF,
+                      SEMIRINGS, spmspv, spmv)
 from repro.simt import Machine
 
 
@@ -38,37 +38,6 @@ def _edge_iter(g):
     src = g.edge_sources
     for e in range(g.m):
         yield int(src[e]), int(g.indices[e]), e
-
-
-@given(edge_lists(max_n=16, max_m=60), st.integers(0, 2**16),
-       st.data())
-@settings(max_examples=25, deadline=None)
-def test_spmspv_min_plus_matches_dense_oracle(data, wseed, draw):
-    n, edges = data
-    g = with_random_weights(_graph(n, edges), seed=wseed)
-    w = g.artifacts.weights64
-    k = draw.draw(st.integers(1, n))
-    x_ids = np.array(sorted(draw.draw(
-        st.sets(st.integers(0, n - 1), min_size=k, max_size=k))),
-        dtype=np.int64)
-    x_vals = np.array(draw.draw(st.lists(
-        st.floats(0, 100, allow_nan=False), min_size=len(x_ids),
-        max_size=len(x_ids))))
-    ids, vals, wit = spmspv(g, x_ids, x_vals, MIN_PLUS, edge_values=w,
-                            witness=True)
-    xd = dict(zip(x_ids.tolist(), x_vals.tolist()))
-    best, owner = {}, {}
-    for u, v, e in _edge_iter(g):
-        if u in xd:
-            cand = xd[u] + w[e]
-            if v not in best or cand < best[v]:
-                best[v], owner[v] = cand, u
-            elif cand == best[v]:
-                owner[v] = min(owner[v], u)
-    assert ids.tolist() == sorted(best)
-    for i, v in enumerate(ids.tolist()):
-        assert vals[i] == best[v]
-        assert wit[i] == owner[v]
 
 
 @given(edge_lists(max_n=16, max_m=60), st.data())
@@ -129,37 +98,22 @@ def test_spmspv_plus_times_matches_dense_oracle(data, draw):
     assert np.allclose(vals, y[ids], rtol=1e-12, atol=0)
 
 
-@given(edge_lists(max_n=14, max_m=50))
-@settings(max_examples=20, deadline=None)
-def test_spmspv_min_select_matches_dense_oracle(data):
-    n, edges = data
-    g = _graph(n, edges)
-    labels = np.arange(n, dtype=np.int64)[::-1].copy()
-    ids, vals = spmspv(g, np.arange(n, dtype=np.int64), labels, MIN_SELECT)
-    best = {}
-    for u, v, _ in _edge_iter(g):
-        best[v] = min(best.get(v, np.iinfo(np.int64).max), labels[u])
-    assert ids.tolist() == sorted(best)
-    assert [int(x) for x in vals] == [best[v] for v in ids.tolist()]
-
-
 def test_spmspv_empty_frontier_and_witness_rejection():
     g = _graph(3, [(0, 1)])
     ids, vals = spmspv(g, np.zeros(0, dtype=np.int64), np.zeros(0),
-                       MIN_PLUS)
+                       PLUS_TIMES)
     assert len(ids) == 0 and len(vals) == 0
     with pytest.raises(ValueError):
         spmspv(g, np.array([0]), np.array([1.0]), PLUS_TIMES, witness=True)
 
 
 def test_semiring_registry_covers_primitives():
-    assert set(SEMIRINGS) == {"min_plus", "bool_or_and", "plus_times",
-                              "min_select"}
+    assert set(SEMIRINGS) == {"bool_or_and", "plus_times"}
+    assert set(RUNNERS) == {"bfs", "pagerank", "ppr"}
+    assert set(SEMIRING_OF) == set(RUNNERS) | {"triangles"}
     assert SEMIRING_OF["bfs"].name == "bool_or_and"
-    assert SEMIRING_OF["sssp"].name == "min_plus"
     assert SEMIRING_OF["pagerank"].name == "plus_times"
     assert SEMIRING_OF["ppr"].name == "plus_times"
-    assert SEMIRING_OF["cc"].name == "min_select"
     assert SEMIRING_OF["triangles"].name == "plus_times"
 
 
@@ -233,42 +187,21 @@ def _line_graph():
 
 
 def test_unlowered_primitive_falls_back_with_reason():
-    from repro.primitives import mis
+    from repro.primitives import cc, mis, sssp
 
     g = _line_graph()
-    clear_fallbacks()
-    with engine("la"):
-        r = mis(g, machine=Machine())
-    prim, reason = last_fallback()
-    assert prim == "mis"
-    assert "no linear-algebra lowering" in reason
-    assert r.set_size > 0
-
-
-def test_alternating_cc_falls_back_under_la():
-    from repro.primitives import cc
-
-    g = _line_graph()
-    clear_fallbacks()
-    with engine("la"):
-        r = cc(g, machine=Machine(), alternate=True)
-    prim, reason = last_fallback()
-    assert prim == "cc"
-    assert "alternating" in reason
-    assert r.num_components == 1
-
-
-def test_iteration_capped_sssp_falls_back_under_la():
-    from repro.primitives import sssp
-
-    g = with_random_weights(_line_graph(), seed=3)
-    clear_fallbacks()
-    with engine("la"):
-        r = sssp(g, 0, machine=Machine(), max_iterations=2)
-    prim, reason = last_fallback()
-    assert prim == "sssp"
-    assert "schedule-dependent" in reason
-    assert r.iterations <= 2
+    wg = with_random_weights(g, seed=3)
+    runs = {
+        "mis": lambda m: mis(g, machine=m).set_size > 0,
+        "cc": lambda m: cc(g, machine=m).num_components == 1,
+        "sssp": lambda m: float(sssp(wg, 0, machine=m).labels[16]) > 0,
+    }
+    for prim, run in runs.items():
+        clear_fallbacks()
+        with engine("la"):
+            assert run(Machine())
+        assert last_fallback() == (
+            prim, f"no linear-algebra lowering for primitive '{prim}'")
 
 
 def test_sanitizer_disables_la():
@@ -298,10 +231,10 @@ def test_resilience_hooks_disable_la():
 
 
 def test_la_engine_implies_pooling():
-    from repro.core.workspace import pooling_enabled
+    from repro.core.workspace import Workspace
 
     with engine("la"):
-        assert pooling_enabled()
+        assert Workspace().pooled
 
 
 # -- SpGEMM triangle counting -------------------------------------------------
@@ -367,14 +300,15 @@ def test_la_span_and_dispatch_counter():
 
 
 def test_la_kernels_are_semiring_products():
-    from repro.primitives import bfs, sssp
+    from repro.primitives import bfs, pagerank
 
-    g = with_random_weights(_line_graph(), seed=5)
+    g = _line_graph()
     with engine("la"):
-        mb, ms = Machine(), Machine()
+        mb, mp = Machine(), Machine()
         bfs(g, 0, machine=mb)
-        sssp(g, 0, machine=ms)
+        pagerank(g, machine=mp, max_iterations=5)
     bfs_names = {k.name for k in mb.counters.kernels}
     assert any(n.startswith("la_spm") for n in bfs_names)
-    assert {k.name for k in ms.counters.kernels} >= {
-        "la_spmspv[min_plus]", "la_mask_commit"}
+    pr_names = {k.name for k in mp.counters.kernels}
+    assert "la_mask_commit" in pr_names
+    assert any(n.endswith("[plus_times]") for n in pr_names)

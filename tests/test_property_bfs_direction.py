@@ -3,13 +3,13 @@
 Direction-optimized BFS (Beamer's push/pull switch, Section 5.1) must be
 an *optimization*, never a semantic change: for any graph and source,
 ``push``, ``pull``, and ``auto`` produce identical depth arrays — with
-workspace pooling on or off, idempotent or not.
+the unpooled or pooled engine, idempotent or not.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.graph import from_edges
 from repro.primitives import bfs
 from repro.reference import bfs_depths
@@ -33,12 +33,13 @@ def _build(n, edges):
         else from_edges([], n=n)
 
 
-@given(graphs_and_src(), st.booleans(), st.booleans())
+@given(graphs_and_src(), st.booleans(),
+       st.sampled_from(("unpooled", "pooled")))
 @settings(max_examples=60, deadline=None)
-def test_push_pull_auto_identical_depths(data, idempotent, pooled):
+def test_push_pull_auto_identical_depths(data, idempotent, mode):
     n, edges, src = data
     g = _build(n, edges)
-    with pooling(pooled):
+    with engine(mode):
         depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
                   for d in DIRECTIONS}
     assert np.array_equal(depths["push"], depths["pull"])
@@ -76,10 +77,11 @@ def test_pooled_unpooled_identical_per_direction(data):
     g = _build(n, edges)
     for direction in DIRECTIONS:
         out = {}
-        for mode in (True, False):
-            with pooling(mode):
+        for mode in ("pooled", "unpooled"):
+            with engine(mode):
                 m = Machine()
                 out[mode] = (bfs(g, src, machine=m, direction=direction),
                              m.counters.cycles)
-        assert np.array_equal(out[True][0].labels, out[False][0].labels)
-        assert out[True][1] == out[False][1]
+        assert np.array_equal(out["pooled"][0].labels,
+                              out["unpooled"][0].labels)
+        assert out["pooled"][1] == out["unpooled"][1]
