@@ -1,4 +1,4 @@
-"""Wall-clock engine benchmark: unpooled, pooled, fused and la on one protocol.
+"""Wall-clock engine benchmark: pooled, fused and la on one protocol.
 
 Measures real elapsed time (``machine=None`` — no simulated-cost
 accounting) for BFS / SSSP / PageRank on an RMAT graph and a road grid
@@ -26,10 +26,9 @@ allocator state), asserts that a fused/la run did not fall back to the
 library loop, times ``reps`` runs, and records tracemalloc peak memory
 and live allocation blocks over one extra traced run.
 
-Every engine shares one pooled measurement per cell, so the three ratios
-are read against the same baseline: ``pooled_speedup`` =
-unpooled_ms / pooled_ms, ``fused_speedup`` = pooled_ms / fused_ms and
-``la_ratio`` = pooled_ms / la_ms (>1 means la is faster; the la backend
+Every engine shares one pooled measurement per cell, so both ratios are
+read against the same baseline: ``fused_speedup`` = pooled_ms / fused_ms
+and ``la_ratio`` = pooled_ms / la_ms (>1 means la is faster; the la backend
 is a GraphBLAS-style cross-check and makes no speedup promise).  la is
 timed only on the primitives it lowers (``repro.la.backend.RUNNERS``);
 on the other cells an la run is the pooled loop after a fallback, so
@@ -38,8 +37,8 @@ geomean covers the lowered cells only.
 
 Each cell's ``contract`` bit is the verdict of the tier-1 differential
 harness, ``tests/engines.py::run_all_engines``, run once per cell with a
-simulated machine attached: unpooled and fused bitwise-equal to pooled
-in outputs, kernel-counter signatures and counters; la per its DESIGN
+simulated machine attached: fused bitwise-equal to pooled in outputs,
+kernel-counter signatures and counters; la per its DESIGN
 §16 contract.  A failed assertion records ``contract: false`` and the
 message in ``contract_error``.
 
@@ -83,10 +82,9 @@ GRAPHS = {
     },
 }
 PRIMITIVES = ("bfs", "sssp", "pagerank")
-ENGINES = ("unpooled", "pooled", "fused", "la")
+ENGINES = ("pooled", "fused", "la")
 #: ratio key -> (numerator engine, denominator engine)
 RATIOS = {
-    "pooled_speedup": ("unpooled", "pooled"),
     "fused_speedup": ("pooled", "fused"),
     "la_ratio": ("pooled", "la"),
 }
@@ -227,7 +225,7 @@ def run_benchmark(quick: bool, out_path: Path, pairs: int, reps: int) -> dict:
                 print(f"       {cell['contract_error']}", flush=True)
             cells.append(cell)
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": {
             "quick": quick, "pairs": pairs, "reps": reps,
             "engines": list(ENGINES),

@@ -62,7 +62,7 @@ RULES: Dict[str, Rule] = {
         Rule("GR007", "nondeterministic-call",
              "functor method calls a known source of nondeterminism "
              "(np.random, random, time, uuid, ...); replay, checkpointing "
-             "and bitwise pooled/unpooled equivalence all assume functor "
+             "and bitwise pooled/fused equivalence all assume functor "
              "bodies are deterministic functions of pre-kernel state"),
         Rule("GR008", "narrowing-store",
              "value stored into a registered problem array sits higher on "

@@ -540,10 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitize", action="store_true",
                    help="run under the dynamic race detector")
     p.add_argument("--engine",
-                   choices=("unpooled", "pooled", "fused", "la"),
+                   choices=("pooled", "fused", "la"),
                    default=None,
-                   help="execution engine: library loop without/with memory "
-                        "pooling, the trace-guided fused specializer, or "
+                   help="execution engine: the pooled library loop, the "
+                        "trace-guided fused specializer, or "
                         "the linear-algebra (masked SpMV/SpMSpV) backend, "
                         "which lowers bfs, pagerank and triangles "
                         "(both fall back to pooled when a run has no "
@@ -615,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-hedge", action="store_true",
                    help="disable hedged (duplicate) dispatch")
     p.add_argument("--engine",
-                   choices=("unpooled", "pooled", "fused", "la"),
+                   choices=("pooled", "fused", "la"),
                    default=None,
                    help="execution engine for cacheable (coalesced/solo) "
                         "batches; fused dispatches the compiled plan, "

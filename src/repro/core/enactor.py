@@ -106,7 +106,7 @@ class EnactorBase:
 
     @property
     def workspace(self):
-        """The problem's scratch arena (pooled or unpooled)."""
+        """The problem's pooled scratch arena."""
         return self.problem.workspace
 
     @property

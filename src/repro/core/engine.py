@@ -1,12 +1,12 @@
-"""Execution-engine selection: unpooled / pooled / fused / la.
+"""Execution-engine selection: pooled / fused / la.
 
-The repo grew four ways to run a primitive:
+There are three ways to run a primitive:
 
-* **unpooled** — the oracle path: library operators, fresh allocations,
-  no artifact reuse.  Slow, obviously correct, the reference the other
-  two are pinned against.
-* **pooled** — library operators over the pooled workspace + graph
-  artifact cache (the default).
+* **pooled** — the library path: operators over the pooled workspace +
+  graph artifact cache (the default).  It is held to checked-in output
+  and kernel-signature goldens (``tests/golden_outputs.json``), to the
+  serial oracles in :mod:`repro.reference`, and bitwise to the fused
+  runners.
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
   super-step loop with no intermediate frontier materialization.  Only
@@ -19,12 +19,10 @@ The repo grew four ways to run a primitive:
   per primitive.  Primitives without a linear-algebra lowering fall
   back to pooled with a logged reason (DESIGN §16).
 
-The engine is the one execution-mode knob: ``unpooled`` is the only
-engine that builds unpooled workspaces, every other engine pools (the
-fused specializer and the linear-algebra backend run on pooled
-artifacts).  Select it with the ``REPRO_ENGINE`` env var (read once at
-import; default ``pooled``), the process-wide :func:`set_engine`, or the
-scoped :func:`engine` context manager.
+The engine is the one execution-mode knob.  Select it with the
+``REPRO_ENGINE`` env var (read once at import; default ``pooled``; an
+unknown name raises), the process-wide :func:`set_engine`, or the scoped
+:func:`engine` context manager.
 """
 
 from __future__ import annotations
@@ -33,18 +31,21 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
-ENGINES = ("unpooled", "pooled", "fused", "la")
+ENGINES = ("pooled", "fused", "la")
+
+
+def _check_engine(mode: str) -> str:
+    if mode not in ENGINES:
+        raise ValueError(f"unknown engine {mode!r}; expected one of {ENGINES}")
+    return mode
 
 
 def _env_engine() -> str:
     raw = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    return raw if raw in ENGINES else "pooled"
+    return _check_engine(raw) if raw else "pooled"
 
 
 _ENGINE: str = _env_engine()
-#: whether new problems build pooled workspaces; derived from the engine
-#: and kept as a plain global so hot-path readers pay one lookup
-POOLED: bool = _ENGINE != "unpooled"
 
 
 def engine_mode() -> str:
@@ -54,12 +55,9 @@ def engine_mode() -> str:
 
 def set_engine(mode: str) -> str:
     """Select the engine process-wide; returns the previous mode."""
-    global _ENGINE, POOLED
-    if mode not in ENGINES:
-        raise ValueError(f"unknown engine {mode!r}; expected one of {ENGINES}")
+    global _ENGINE
     previous = _ENGINE
-    _ENGINE = mode
-    POOLED = mode != "unpooled"
+    _ENGINE = _check_engine(mode)
     return previous
 
 
@@ -80,24 +78,24 @@ def engine(mode: str) -> Iterator[None]:
 # CLI / tests / serving tier can surface *why* — the fallback contract in
 # DESIGN §15/§16 requires the reason to be observable, not just logged.
 
-_FALLBACKS: List[Tuple[str, str]] = []
-_FALLBACK_LIMIT = 256
+_fallback_log: List[Tuple[str, str]] = []
+_LOG_LIMIT = 256
 
 
 def record_fallback(primitive: str, reason: str) -> None:
-    if len(_FALLBACKS) >= _FALLBACK_LIMIT:
-        del _FALLBACKS[: _FALLBACK_LIMIT // 2]
-    _FALLBACKS.append((primitive, reason))
+    if len(_fallback_log) >= _LOG_LIMIT:
+        del _fallback_log[: _LOG_LIMIT // 2]
+    _fallback_log.append((primitive, reason))
 
 
 def fallback_log() -> List[Tuple[str, str]]:
     """Recent (primitive, reason) engine-dispatch fallbacks, oldest first."""
-    return list(_FALLBACKS)
+    return list(_fallback_log)
 
 
 def last_fallback() -> Optional[Tuple[str, str]]:
-    return _FALLBACKS[-1] if _FALLBACKS else None
+    return _fallback_log[-1] if _fallback_log else None
 
 
 def clear_fallbacks() -> None:
-    del _FALLBACKS[:]
+    del _fallback_log[:]

@@ -96,27 +96,19 @@ class Frontier:
     # -- layout conversions ----------------------------------------------------
 
     def to_bitmap(self, size: int, machine: Optional[Machine] = None,
-                  *, workspace=None, role: str = "frontier_bitmap") -> np.ndarray:
+                  *, workspace, role: str = "frontier_bitmap") -> np.ndarray:
         """Scatter the queue into a dense boolean map of the given size.
 
         This is the conversion Gunrock performs internally before a
         pull-based advance (Section 4.1.1).
 
-        With a pooled ``workspace`` the bitmap is borrowed from the pool
-        and cleared *sparsely* (only the positions set by the previous
-        scatter of the same ``role``), instead of allocating and zeroing
-        a fresh n-sized array every iteration.  The simulated cost charge
-        is identical in both modes; the returned map is valid until the
-        next ``to_bitmap`` with the same workspace and role.
+        The bitmap is borrowed from the ``workspace`` pool and cleared
+        *sparsely* (only the positions set by the previous scatter of the
+        same ``role``), instead of allocating and zeroing a fresh n-sized
+        array every iteration.  The returned map is valid until the next
+        ``to_bitmap`` with the same workspace and role.
         """
-        if workspace is not None and workspace.pooled:
-            bitmap = workspace.bitmap_scatter(role, size, self.items)
-        else:
-            bitmap = np.zeros(size, dtype=bool)
-            if len(self.items):
-                if self.items.max() >= size:
-                    raise ValueError("frontier id exceeds bitmap size")
-                bitmap[self.items] = True
+        bitmap = workspace.bitmap_scatter(role, size, self.items)
         if machine is not None:
             machine.map_kernel("queue_to_bitmap", len(self.items), 1.0)
         return bitmap

@@ -114,7 +114,7 @@ def _validate_mask(mask: np.ndarray, n_lanes: int, where: str) -> np.ndarray:
 
 
 def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
-                  where: str = "functor", workspace=None) -> np.ndarray:
+                  workspace, where: str = "functor") -> np.ndarray:
     """AND together optional lane masks (None == all-True).
 
     ``where`` names the functor method that produced the mask, so the
@@ -122,26 +122,19 @@ def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
     rejected: an int mask would silently reinterpret arbitrary values as
     lane admission bits.
 
-    With a pooled ``workspace``, the no-mask case returns the workspace's
-    cached read-only all-True view and the single-mask case passes the
-    functor's mask straight through (callers treat the result as
-    read-only); only the multi-mask case touches scratch.  Values are
-    identical to the legacy allocate-and-AND path.
+    The no-mask case returns the ``workspace``'s cached read-only
+    all-True view and the single-mask case passes the functor's mask
+    straight through (callers treat the result as read-only); only the
+    multi-mask case touches scratch.
     """
-    if workspace is not None and workspace.pooled:
-        live = [_validate_mask(m, n_lanes, where)
-                for m in masks if m is not None]
-        if not live:
-            return workspace.true_mask(n_lanes)
-        if len(live) == 1:
-            return live[0]
-        out = workspace.take("resolve_masks", n_lanes, np.bool_)
-        np.copyto(out, live[0])
-        for mask in live[1:]:
-            np.logical_and(out, mask, out=out)
-        return out
-    out = np.ones(n_lanes, dtype=bool)
-    for mask in masks:
-        if mask is not None:
-            out &= _validate_mask(mask, n_lanes, where)
+    live = [_validate_mask(m, n_lanes, where)
+            for m in masks if m is not None]
+    if not live:
+        return workspace.true_mask(n_lanes)
+    if len(live) == 1:
+        return live[0]
+    out = workspace.take("resolve_masks", n_lanes, np.bool_)
+    np.copyto(out, live[0])
+    for mask in live[1:]:
+        np.logical_and(out, mask, out=out)
     return out

@@ -17,14 +17,12 @@ The whole expansion is one fused kernel: functor ``cond``/``apply`` run
 inside the advance launch (Section 4.3's kernel fusion), so each BSP step
 pays one launch overhead.
 
-Two data paths share this file.  The *unpooled* path is the legacy
-allocate-per-call code and doubles as the reference implementation; the
-*pooled* path (problem workspace in pooled mode) reuses scratch from the
+The data path reuses scratch from the problem's
 :class:`~repro.core.workspace.Workspace`, serves all-vertices frontiers
 straight from the graph's :class:`~repro.graph.csr.ArtifactCache`, and
-skips compaction copies when no lane was culled.  Both paths produce
-bitwise-identical frontiers and identical simulated-cycle charges
-(enforced by ``tests/test_property_based.py``).
+skips compaction copies when no lane was culled.  Its frontiers and
+simulated-cycle charges are pinned by ``tests/golden_outputs.json`` and
+held bitwise to the fused runners (``tests/engines.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..loadbalance import LoadBalancer, default_load_balancer
 from ..problem import ProblemBase
-from ..workspace import Workspace, workspace_of
+from ..workspace import Workspace
 
 
 def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
@@ -53,37 +51,20 @@ def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
     return problem.graph.indices[frontier.items]
 
 
-def _expand_lanes(g, f: np.ndarray, ws: Workspace
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray, np.ndarray]:
-    """Per-lane expansion arrays ``(degs, excl, starts, eids, seg)`` for
-    frontier ``f`` on graph ``g`` (``excl`` = exclusive degree prefix).
-
-    The pooled variant writes the prefix into workspace scratch and adds
-    the cached iota ramp in place; values match the legacy path exactly.
+def _lane_edge_ids(g, f: np.ndarray, degs: np.ndarray, total: int,
+                   ws: Workspace) -> Tuple[np.ndarray, np.ndarray]:
+    """``(excl, eids)`` for frontier ``f`` with ``total > 0`` lanes:
+    the exclusive degree prefix (workspace scratch) and each lane's
+    edge id, built from the rebased row starts plus the cached iota ramp.
     """
-    degs = g.degrees_of(f)
-    total = int(degs.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return degs, empty, empty, empty, empty
-    nf = len(f)
-    if ws.pooled:
-        excl = ws.take("expand_excl", nf, np.int64)
-        excl[0] = 0
-        np.cumsum(degs[:-1], out=excl[1:])
-        starts = g.indptr[f]
-        np.subtract(starts, excl, out=starts)  # rebase: edge id of lane 0
-        eids = np.repeat(starts, degs)
-        np.add(eids, ws.iota(total), out=eids)
-        seg = np.repeat(ws.iota(nf), degs)
-    else:
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        excl = offsets[:-1]
-        starts = g.indptr[f]
-        eids = np.repeat(starts - excl, degs) + np.arange(total, dtype=np.int64)
-        seg = np.repeat(np.arange(nf, dtype=np.int64), degs)
-    return degs, excl, starts, eids, seg
+    excl = ws.take("expand_excl", len(f), np.int64)
+    excl[0] = 0
+    np.cumsum(degs[:-1], out=excl[1:])
+    starts = g.indptr[f]
+    np.subtract(starts, excl, out=starts)  # rebase: edge id of lane 0
+    eids = np.repeat(starts, degs)
+    np.add(eids, ws.iota(total), out=eids)
+    return excl, eids
 
 
 def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
@@ -95,60 +76,44 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
     One output lane per traversed edge, in frontier order — the dense,
     uniform workload the scan-based reorganization of Section 3 produces.
 
-    In pooled mode an all-vertices frontier (PageRank every iteration)
-    short-circuits to the graph's cached artifacts: the expansion of
-    ``arange(n)`` *is* ``(edge_sources, indices, arange(m), out_degrees)``,
-    so no per-lane arrays are built at all.  ``need_srcs=False`` (pooled
-    only) skips materializing the per-lane source array for callers that
-    consume the segment structure directly — ``srcs`` comes back None.
+    An all-vertices frontier (PageRank every iteration) short-circuits
+    to the graph's cached artifacts: the expansion of ``arange(n)`` *is*
+    ``(edge_sources, indices, arange(m), out_degrees)``, so no per-lane
+    arrays are built at all.  ``need_srcs=False`` skips materializing the
+    per-lane source array for callers that consume the segment structure
+    directly — ``srcs`` comes back None.
     """
     g = problem.graph
     f = np.asarray(source_vertices, dtype=np.int64)
-    ws = workspace_of(problem)
-    if ws.pooled:
-        if len(f) == g.n:
-            art = g.artifacts
-            if f is art.iota_n or np.array_equal(f, art.iota_n):
-                return art.edge_sources, g.indices, art.iota_m, art.out_degrees
-        # slowly-shrinking frontiers (PageRank) re-expand the same vertex
-        # set for many super-steps: an O(|f|) compare replaces the O(m)
-        # rebuild.  The memoized arrays are safe to hand out again because
-        # lane arrays are immutable by contract (compaction copies).
-        memo = ws.expansion_memo(g, f)
-        if memo is not None:
-            srcs, dsts, eids, degs = memo
-            if need_srcs and srcs is None:
-                srcs = np.repeat(f, degs)  # == f[seg] by construction
-                ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
-            return srcs, dsts, eids, degs
-        # pooled expansion: no per-lane segment-id array is ever built —
-        # eids come from the rebased row starts plus the cached iota ramp,
-        # and srcs (when wanted) is repeat(f, degs), identical to the
-        # legacy gather through the segment ids
-        degs = g.degrees_of(f)
-        total = int(degs.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty, degs
-        nf = len(f)
-        excl = ws.take("expand_excl", nf, np.int64)
-        excl[0] = 0
-        np.cumsum(degs[:-1], out=excl[1:])
-        starts = g.indptr[f]
-        np.subtract(starts, excl, out=starts)
-        eids = np.repeat(starts, degs)
-        np.add(eids, ws.iota(total), out=eids)
-        dsts = g.indices[eids]
-        srcs = np.repeat(f, degs) if need_srcs else None
-        out = (srcs, dsts, eids, degs)
-        ws.remember_expansion(g, f, out)
-        return out
-    degs, _, _, eids, seg = _expand_lanes(g, f, ws)
-    if len(eids) == 0:
-        return eids, eids, eids, degs
-    srcs = f[seg]
+    ws = problem.workspace
+    if len(f) == g.n:
+        art = g.artifacts
+        if f is art.iota_n or np.array_equal(f, art.iota_n):
+            return art.edge_sources, g.indices, art.iota_m, art.out_degrees
+    # slowly-shrinking frontiers (PageRank) re-expand the same vertex
+    # set for many super-steps: an O(|f|) compare replaces the O(m)
+    # rebuild.  The memoized arrays are safe to hand out again because
+    # lane arrays are immutable by contract (compaction copies).
+    memo = ws.expansion_memo(g, f)
+    if memo is not None:
+        srcs, dsts, eids, degs = memo
+        if need_srcs and srcs is None:
+            srcs = np.repeat(f, degs)
+            ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
+        return srcs, dsts, eids, degs
+    # no per-lane segment-id array is ever built: srcs (when wanted) is
+    # repeat(f, degs), the same values as a gather through segment ids
+    degs = g.degrees_of(f)
+    total = int(degs.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, degs
+    _, eids = _lane_edge_ids(g, f, degs, total, ws)
     dsts = g.indices[eids]
-    return srcs, dsts, eids, degs
+    srcs = np.repeat(f, degs) if need_srcs else None
+    out = (srcs, dsts, eids, degs)
+    ws.remember_expansion(g, f, out)
+    return out
 
 
 def _charge_advance(problem: ProblemBase, degs: np.ndarray, lb: LoadBalancer,
@@ -221,18 +186,12 @@ def _advance_push(problem: ProblemBase, frontier: Frontier, functor: Functor,
         return _push_body(problem, f_vertices, functor, output_kind, lb, iteration)
 
 
-def _known_true(ws: Workspace, mask: np.ndarray) -> bool:
-    """O(1): is this the workspace's cached all-True view?"""
-    return ws.pooled and ws.is_true_view(mask)
-
-
 def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
-    ws = workspace_of(problem)
+    ws = problem.workspace
     # Segment-aware apply (see Functor.apply_edge_segmented): only when the
     # functor declares no cond_edge, so lanes reach apply still grouped by
-    # source vertex, and only pooled — the unpooled path stays the legacy
-    # reference implementation.
-    use_seg = (ws.pooled and functor.apply_edge_segmented is not None
+    # source vertex.
+    use_seg = (functor.apply_edge_segmented is not None
                and type(functor).cond_edge is Functor.cond_edge)
     srcs, dsts, eids, degs = expand_push(problem, f_vertices,
                                          need_srcs=not use_seg)
@@ -251,7 +210,7 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
             cond = functor.cond_edge(problem, srcs, dsts, eids)
             keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge",
                                  workspace=ws)
-            if not _known_true(ws, keep) and not keep.all():
+            if not ws.is_true_view(keep) and not keep.all():
                 srcs, dsts, eids = srcs[keep], dsts[keep], eids[keep]
             if len(eids) == 0:
                 return Frontier.empty(output_kind)
@@ -259,11 +218,11 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
             keep = resolve_masks(len(eids), applied,
                                  where=f"{fname}.apply_edge", workspace=ws)
     out_src = dsts if output_kind is FrontierKind.VERTEX else eids
-    if _known_true(ws, keep):
+    if ws.is_true_view(keep):
         # no lane culled: alias the (immutable) lane array instead of a
         # full fancy-index copy — frontier items are never mutated
         out_items = out_src
-    elif ws.pooled and ws.is_false_view(keep):
+    elif ws.is_false_view(keep):
         # admit-nothing functor (PageRank's scatter): skip the O(m)
         # compaction scan that would produce an empty array anyway
         out_items = out_src[:0]
@@ -287,7 +246,7 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     """
     g = problem.graph
     machine = problem.machine
-    ws = workspace_of(problem)
+    ws = problem.workspace
     rev = g.csc
     in_frontier = frontier.to_bitmap(g.n, machine, workspace=ws)
     unvisited = np.flatnonzero(problem.unvisited_mask())
@@ -298,35 +257,31 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     if len(unvisited) == 0:
         return Frontier.empty(FrontierKind.VERTEX)
 
-    degs, excl, starts, eids, seg = _expand_lanes(rev, unvisited, ws)
-    total = len(eids)
+    degs = rev.degrees_of(unvisited)
+    total = int(degs.sum())
     if total == 0:
         return Frontier.empty(FrontierKind.VERTEX)
+    excl, eids = _lane_edge_ids(rev, unvisited, degs, total, ws)
+    seg = np.repeat(ws.iota(len(unvisited)), degs)
     parents = rev.indices[eids]
     hits = in_frontier[parents]
 
     # First-hit position per segment (the lane where the serial scan stops).
     big = np.iinfo(np.int64).max
-    if ws.pooled:
-        pos_in_seg = excl[seg]
-        np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
-        first_hit = ws.take("pull_first_hit", len(unvisited), np.int64,
-                            fill=big)
-        if np.count_nonzero(hits) * 4 >= total:
-            # dense hits (the regime pull is chosen for): replace the
-            # element-at-a-time ``np.minimum.at`` with one vectorized
-            # segmented reduction.  Rows are taken only at nonzero-degree
-            # segments so reduceat's empty-slice quirk never applies; the
-            # per-segment minimum is the same value either way.
-            vals = ws.take("pull_first_vals", total, np.int64, fill=big)
-            np.copyto(vals, pos_in_seg, where=hits)
-            nz = np.flatnonzero(degs)
-            first_hit[nz] = np.minimum.reduceat(vals, excl[nz])
-        else:
-            np.minimum.at(first_hit, seg[hits], pos_in_seg[hits])
+    pos_in_seg = excl[seg]
+    np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
+    first_hit = ws.take("pull_first_hit", len(unvisited), np.int64, fill=big)
+    if np.count_nonzero(hits) * 4 >= total:
+        # dense hits (the regime pull is chosen for): replace the
+        # element-at-a-time ``np.minimum.at`` with one vectorized
+        # segmented reduction.  Rows are taken only at nonzero-degree
+        # segments so reduceat's empty-slice quirk never applies; the
+        # per-segment minimum is the same value either way.
+        vals = ws.take("pull_first_vals", total, np.int64, fill=big)
+        np.copyto(vals, pos_in_seg, where=hits)
+        nz = np.flatnonzero(degs)
+        first_hit[nz] = np.minimum.reduceat(vals, excl[nz])
     else:
-        pos_in_seg = np.arange(total, dtype=np.int64) - excl[seg]
-        first_hit = np.full(len(unvisited), big, dtype=np.int64)
         np.minimum.at(first_hit, seg[hits], pos_in_seg[hits])
     found = first_hit != big
     # Edges actually examined: up to and including the first hit, or the
@@ -346,10 +301,7 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
         return Frontier.empty(FrontierKind.VERTEX)
     winners = np.flatnonzero(found)
     child = unvisited[winners]
-    # note: in pooled mode ``starts`` was rebased in place by
-    # ``_expand_lanes``; recover the raw row starts from indptr
-    win_edge = rev.indptr[child] + first_hit[winners] if ws.pooled \
-        else (starts[winners] + first_hit[winners])
+    win_edge = rev.indptr[child] + first_hit[winners]
     parent = rev.indices[win_edge]
     orig_eid = rev.edge_props["orig_edge"][win_edge]
 
@@ -358,12 +310,12 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
         cond = functor.cond_edge(problem, parent, child, orig_eid)
         keep = resolve_masks(len(child), cond, where=f"{fname}.cond_edge",
                              workspace=ws)
-        if not _known_true(ws, keep):
+        if not ws.is_true_view(keep):
             parent, child, orig_eid = parent[keep], child[keep], orig_eid[keep]
         if len(child) == 0:
             return Frontier.empty(FrontierKind.VERTEX)
         applied = functor.apply_edge(problem, parent, child, orig_eid)
         keep = resolve_masks(len(child), applied, where=f"{fname}.apply_edge",
                              workspace=ws)
-    out_items = child if _known_true(ws, keep) else child[keep]
+    out_items = child if ws.is_true_view(keep) else child[keep]
     return Frontier(out_items, FrontierKind.VERTEX)

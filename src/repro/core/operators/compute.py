@@ -55,10 +55,8 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
     Handy for "compute the degree distribution"-style single steps that
     both transform state and shrink the frontier.
     """
-    from ..workspace import workspace_of
-
     machine = problem.machine
-    ws = workspace_of(problem)
+    ws = problem.workspace
     items = frontier.items
     if len(items) == 0:
         return frontier
@@ -85,7 +83,7 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
             machine.map_kernel("compute", len(items), calib.C_VERTEX,
                                iteration=iteration)
             machine.counters.record_vertices(len(items))
-        out = items if ws.pooled and ws.is_true_view(keep) else items[keep]
+        out = items if ws.is_true_view(keep) else items[keep]
         if sp.enabled:
             sp.set(frontier_out=len(out))
     return Frontier(out, frontier.kind)

@@ -152,24 +152,19 @@ def filter_frontier(problem: ProblemBase, frontier: Frontier, functor: Functor,
 
 def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machine]):
     from ..frontier import FrontierKind
-    from ..workspace import workspace_of
 
-    ws = workspace_of(problem)
+    ws = problem.workspace
     items = frontier.items
     n = len(items)
     if n == 0:
         return Frontier.empty(frontier.kind)
 
-    # In pooled mode the heuristic masks (fresh arrays the culls own) are
-    # folded in place and the no-heuristics case defers entirely to
-    # resolve_masks' cached all-True view; unpooled keeps the legacy
-    # allocate-ones-then-AND sequence.  Values are identical.
-    keep = None if ws.pooled else np.ones(n, dtype=bool)
+    # The heuristic masks (fresh arrays the culls own) are folded in
+    # place; the no-heuristics case defers entirely to resolve_masks'
+    # cached all-True view.
+    keep = None
     if heuristics is not None and frontier.kind is FrontierKind.VERTEX:
-        if keep is None:
-            keep = heuristics.warp_cull(items)
-        else:
-            keep &= heuristics.warp_cull(items)
+        keep = heuristics.warp_cull(items)
         keep &= heuristics.bitmask_cull(items, problem.graph.n)
         keep &= heuristics.history_cull(items)
         if machine is not None:
@@ -192,10 +187,10 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
                                   workspace=ws)
         if keep is None:
             keep = cmask  # borrowed (possibly read-only) — never mutated
-        elif not (ws.pooled and ws.is_true_view(cmask)):
+        elif not ws.is_true_view(cmask):
             keep &= cmask
 
-        if ws.pooled and ws.is_true_view(keep):
+        if ws.is_true_view(keep):
             survivors = items  # nothing culled: alias the immutable queue
         else:
             survivors = items[keep]
@@ -214,7 +209,7 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
                 mask2 = resolve_masks(len(survivors), applied,
                                       where=f"{fname}.apply_edge",
                                       workspace=ws)
-            if not (ws.pooled and ws.is_true_view(mask2)):
+            if not ws.is_true_view(mask2):
                 survivors = survivors[mask2]
     if machine is not None:
         # the scan+scatter compaction pass over the input frontier

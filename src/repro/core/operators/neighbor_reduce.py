@@ -20,7 +20,6 @@ from ...simt.primitives import segmented_reduce_sum
 from ..frontier import Frontier, FrontierKind
 from ..loadbalance import LoadBalancer, default_load_balancer
 from ..problem import ProblemBase
-from ..workspace import workspace_of
 from .advance import expand_push
 
 #: value accessor: (problem, srcs, dsts, eids) -> per-edge values
@@ -62,13 +61,10 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
                        iteration=iteration)
         machine.counters.record_edges(len(eids))
 
-    ws = workspace_of(problem)
+    ws = problem.workspace
     n_seg = len(frontier.items)
-    if ws.pooled:
-        offsets = ws.take("nr_offsets", n_seg + 1, np.int64)
-        offsets[0] = 0
-    else:
-        offsets = np.zeros(n_seg + 1, dtype=np.int64)
+    offsets = ws.take("nr_offsets", n_seg + 1, np.int64)
+    offsets[0] = 0
     np.cumsum(degs, out=offsets[1:])
     if len(eids) == 0:
         values = np.zeros(0, dtype=np.float64)
@@ -84,8 +80,7 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
         identity = np.inf if op == "min" else -np.inf
         out = np.full(n_seg, identity, dtype=np.float64)
         if len(values):
-            seg = np.repeat(ws.iota(n_seg) if ws.pooled
-                            else np.arange(n_seg, dtype=np.int64), degs)
+            seg = np.repeat(ws.iota(n_seg), degs)
             ufunc.at(out, seg, values)
         return out
     raise ValueError(f"unsupported reduction op {op!r}; use sum/min/max")

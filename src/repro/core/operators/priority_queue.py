@@ -44,6 +44,11 @@ def split_near_far(problem: ProblemBase, frontier: Frontier,
     prio = np.asarray(priority_fn(problem, items), dtype=np.float64)
     if len(prio) != len(items):
         raise ValueError("priority function must return one value per item")
+    if not (prio < np.inf).all():
+        # NaN / +inf never fall below a level threshold, so pop_near
+        # would raise the level forever
+        raise ValueError("priority function must return values below +inf "
+                         "(got NaN or +inf)")
     near_mask = prio < split_value
     if machine is not None:
         machine.map_kernel("near_far_split", len(items),

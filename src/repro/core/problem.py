@@ -36,8 +36,7 @@ class ProblemBase:
     def __init__(self, graph: Csr, machine: Optional[Machine] = None):
         self.graph = graph
         self.machine = machine
-        #: per-problem scratch arena; captures the engine's pooling mode
-        #: at construction (see :mod:`repro.core.workspace`)
+        #: per-problem scratch arena (see :mod:`repro.core.workspace`)
         self.workspace = Workspace()
         self._vertex_arrays: Dict[str, np.ndarray] = {}
         self._edge_arrays: Dict[str, np.ndarray] = {}

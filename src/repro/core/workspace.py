@@ -23,14 +23,8 @@ Pooling invariants (see DESIGN.md §10):
 * **Constant views are read-only.** ``iota`` / ``true_mask`` /
   ``false_mask`` views are backed by ``writeable=False`` arrays, so an
   accidental in-place write raises instead of corrupting shared state.
-* **Bitwise-unchanged semantics.** The pooled and unpooled paths produce
-  identical arrays and identical simulated-cycle counters; the property
-  tests in ``tests/test_property_based.py`` enforce this.
-
-Whether a :class:`Workspace` pools is decided by the engine
-(:mod:`repro.core.engine`: every engine but ``unpooled`` pools) and is
-captured at construction time — i.e. per problem — so a single
-benchmark process can build pooled and unpooled problems side by side.
+* **Pooling never changes results.** Outputs and simulated-cycle
+  counters are pinned by ``tests/golden_outputs.json``.
 """
 
 from __future__ import annotations
@@ -38,8 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from . import engine as _engine
 
 #: minimum backing-buffer length; avoids churning tiny buffers while a
 #: frontier ramps up from a single source vertex
@@ -57,18 +49,15 @@ def _capacity_for(size: int) -> int:
 class Workspace:
     """Reusable scratch arena for one problem's operator invocations.
 
-    In pooled mode, :meth:`take` returns an exact-size view of a
-    geometrically grown backing buffer keyed by ``(role, dtype)``; in
-    unpooled mode every call allocates fresh (the legacy behavior the
-    benchmark compares against).
+    :meth:`take` returns an exact-size view of a geometrically grown
+    backing buffer keyed by ``(role, dtype)``.
     """
 
-    __slots__ = ("pooled", "_pools", "_iota", "_true", "_false",
+    __slots__ = ("_pools", "_iota", "_true", "_false",
                  "_true_views", "_false_views", "_bitmaps", "_expand_memo",
                  "stats")
 
-    def __init__(self, pooled: Optional[bool] = None):
-        self.pooled = _engine.POOLED if pooled is None else bool(pooled)
+    def __init__(self):
         self._pools: Dict[Tuple[str, np.dtype], np.ndarray] = {}
         self._iota: Optional[np.ndarray] = None
         self._true: Optional[np.ndarray] = None
@@ -94,11 +83,6 @@ class Workspace:
         """
         self.stats["takes"] += 1
         dt = np.dtype(dtype)
-        if not self.pooled:
-            self.stats["allocations"] += 1
-            if fill is None:
-                return np.empty(size, dtype=dt)
-            return np.full(size, fill, dtype=dt)
         key = (role, dt)
         buf = self._pools.get(key)
         if buf is None or len(buf) < size:
@@ -120,9 +104,6 @@ class Workspace:
         callers use it as a read-only operand (e.g. ``np.add(x, iota,
         out=x)``).
         """
-        if not self.pooled:
-            self.stats["allocations"] += 1
-            return np.arange(size, dtype=np.int64)
         if self._iota is None or len(self._iota) < size:
             base = np.arange(_capacity_for(size), dtype=np.int64)
             base.setflags(write=False)
@@ -134,9 +115,6 @@ class Workspace:
     def _const_mask(self, size: int, value: bool) -> np.ndarray:
         attr = "_true" if value else "_false"
         views = self._true_views if value else self._false_views
-        if not self.pooled:
-            self.stats["allocations"] += 1
-            return (np.ones if value else np.zeros)(size, dtype=bool)
         base = getattr(self, attr)
         if base is None or len(base) < size:
             base = np.full(_capacity_for(size), value, dtype=bool)
@@ -246,14 +224,3 @@ class Workspace:
         self._bitmaps.clear()
         self._expand_memo = None
 
-
-#: shared fallback for duck-typed problem views that never attached a
-#: workspace (e.g. the gather-PageRank reverse-graph view): always
-#: unpooled, so such callers keep the legacy allocation behavior
-_FALLBACK = Workspace(pooled=False)
-
-
-def workspace_of(problem) -> Workspace:
-    """The problem's workspace, or an always-unpooled fallback."""
-    ws = getattr(problem, "workspace", None)
-    return ws if ws is not None else _FALLBACK

@@ -65,12 +65,9 @@ class BfsProblem(ProblemBase):
         self.num_unvisited = self.graph.n - 1
 
     def unvisited_mask(self) -> np.ndarray:
-        ws = self.workspace
-        if ws.pooled:
-            out = ws.take("unvisited_mask", self.graph.n, np.bool_)
-            np.less(self.labels, 0, out=out)
-            return out
-        return self.labels < 0
+        out = self.workspace.take("unvisited_mask", self.graph.n, np.bool_)
+        np.less(self.labels, 0, out=out)
+        return out
 
     def snapshot_state(self) -> dict:
         return {"num_unvisited": self.num_unvisited}
@@ -137,13 +134,7 @@ class BfsEnactor(EnactorBase):
         # transient fault before its first kernel replays restore-free
         self.idempotent_replay = idempotent
     def _recount_unvisited(self) -> int:
-        P: BfsProblem = self.problem
-        ws = P.workspace
-        if ws.pooled:
-            mask = ws.take("unvisited_mask", P.graph.n, np.bool_)
-            np.less(P.labels, 0, out=mask)
-            return int(np.count_nonzero(mask))
-        return int((P.labels < 0).sum())
+        return int(np.count_nonzero(self.problem.unvisited_mask()))
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         P: BfsProblem = self.problem

@@ -58,23 +58,16 @@ class _DistributeFunctor(Functor):
     """advance: scatter ``damping * residual/degree`` along out-edges."""
 
     def apply_edge(self, P, src, dst, eid):
-        ws = P.workspace
-        if ws.pooled:
-            # same arithmetic, folded in place on the gathered values
-            # (float multiply is commutative bitwise), and the constant
-            # admit-nothing mask comes from the pool instead of a fresh
-            # zeroed m-sized array every iteration
-            vals = P.residual[src]
-            np.multiply(vals, P.damping, out=vals)
-            np.divide(vals, P.degrees[src], out=vals)
-            atomics.atomic_add(P.residual_next, dst, vals, P.machine)
-            return ws.false_mask(len(src))
-        atomics.atomic_add(P.residual_next, dst,
-                           P.damping * P.residual[src] / P.degrees[src],
-                           P.machine)
-        # the advance exists for its atomicAdd side effect; the next
-        # frontier is re-derived by the filter over all vertices
-        return np.zeros(len(src), dtype=bool)
+        # damping * residual / degree, folded in place on the gathered
+        # values (float multiply is commutative bitwise).  The advance
+        # exists for its atomicAdd side effect: the constant admit-nothing
+        # mask comes from the pool, and the next frontier is re-derived
+        # by the filter over all vertices
+        vals = P.residual[src]
+        np.multiply(vals, P.damping, out=vals)
+        np.divide(vals, P.degrees[src], out=vals)
+        atomics.atomic_add(P.residual_next, dst, vals, P.machine)
+        return P.workspace.false_mask(len(src))
 
     def apply_edge_segmented(self, P, f, degs, dst, eid):
         # the scattered value is a function of the source vertex alone,
@@ -82,13 +75,12 @@ class _DistributeFunctor(Functor):
         # and repeat it across that vertex's edge lanes — the same float
         # ops on the same values as the per-lane path, minus the m-sized
         # gathers and arithmetic passes
-        ws = P.workspace
         contrib = P.residual[f]
         np.multiply(contrib, P.damping, out=contrib)
         np.divide(contrib, P.degrees[f], out=contrib)
         vals = np.repeat(contrib, degs)
         atomics.atomic_add(P.residual_next, dst, vals, P.machine)
-        return ws.false_mask(len(dst))
+        return P.workspace.false_mask(len(dst))
 
 
 class _CommitFunctor(Functor):
@@ -97,9 +89,7 @@ class _CommitFunctor(Functor):
     def apply_vertex(self, P, v):
         from ..analysis.sanitizer import current_sanitizer
 
-        ws = P.workspace
-        if ws.pooled and current_sanitizer() is None \
-                and v is P.graph.artifacts.iota_n:
+        if current_sanitizer() is None and v is P.graph.artifacts.iota_n:
             # the all-vertices commit is a straight elementwise pass —
             # identical values to the fancy-indexed path below, minus
             # the gather/scatter copies.  (Disabled under the sanitizer,
@@ -130,21 +120,11 @@ class PagerankEnactor(EnactorBase):
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         self.advance(frontier, _DistributeFunctor())
-        out = self.filter(self._all_vertices(), _CommitFunctor())
-        return out
-
-    def _all_vertices(self) -> Frontier:
-        """The per-iteration full-range filter frontier.
-
-        Pooled mode wraps the graph's cached read-only iota ramp (no
-        fresh ``arange(n)`` per super-step, and the identity lets the
-        operators take their all-vertices fast paths); unpooled keeps the
-        legacy fresh allocation.
-        """
-        P = self.problem
-        if P.workspace.pooled:
-            return Frontier(P.graph.artifacts.iota_n)
-        return Frontier.all_vertices(P.graph.n)
+        # the full-range filter frontier wraps the graph's cached
+        # read-only iota ramp: no fresh ``arange(n)`` per super-step, and
+        # the identity lets the operators take their all-vertices paths
+        all_v = Frontier(self.problem.graph.artifacts.iota_n)
+        return self.filter(all_v, _CommitFunctor())
 
 
 class GatherPagerankEnactor(EnactorBase):
@@ -170,8 +150,7 @@ class GatherPagerankEnactor(EnactorBase):
             machine = P.machine
             workspace = P.workspace
 
-        all_v = Frontier(rev.artifacts.iota_n) if P.workspace.pooled \
-            else Frontier.all_vertices(g.n)
+        all_v = Frontier(rev.artifacts.iota_n)
         gathered = neighbor_reduce(
             _View(), all_v,
             lambda _, s, d, e: P.damping * P.residual[d] / P.degrees[d],

@@ -4,11 +4,11 @@ Every engine-identity test drives primitives through
 :func:`run_all_engines` instead of hand-rolling comparison loops.  The
 contract it asserts:
 
-* **pooled** is the reference.
-* **unpooled** and **fused** are *bitwise* engines: every output array
-  (values and dtype), the kernel-counter signature, and total simulated
-  cycles must match pooled exactly; fused additionally matches every
-  aggregate counter (the DESIGN §15 pin).
+* **pooled** is the reference (itself pinned to checked-in goldens by
+  ``tests/test_golden_counters.py``).
+* **fused** is a *bitwise* engine: every output array (values and
+  dtype), the kernel-counter signature, total simulated cycles and every
+  aggregate counter must match pooled exactly (the DESIGN §15 pin).
 * **la** follows the per-primitive contract of DESIGN §16
   (:data:`LA_CONTRACTS`): bfs labels bitwise and preds validated as
   correct BFS parents rather than compared bitwise, rank arrays within
@@ -25,7 +25,7 @@ from repro import primitives
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.simt import Machine
 
-ALL_ENGINES = ("unpooled", "pooled", "fused", "la")
+ALL_ENGINES = ("pooled", "fused", "la")
 
 #: documented tolerance for the la engine's rank arrays (in practice the
 #: LA loop replays the pooled residual schedule and matches bitwise)
@@ -59,8 +59,7 @@ def counter_signature(machine):
             for k in machine.counters.kernels]
 
 
-def run_engines(run, engines=("unpooled", "pooled", "fused"),
-                expect_fallback=()):
+def run_engines(run, engines=("pooled", "fused"), expect_fallback=()):
     """Run ``run(machine)`` under each engine in ``engines``.
 
     Specialized engines (fused, la) must dispatch — any fallback fails
@@ -127,11 +126,6 @@ def assert_engine_identity(out, primitive, *, graph=None, params=None,
                            la_fell_back=False):
     """Cross-engine identity over a :func:`run_engines` result dict."""
     rp, mp = out["pooled"]
-    if "unpooled" in out:
-        ru, mu = out["unpooled"]
-        _assert_bitwise(rp, ru, "unpooled")
-        assert counter_signature(mu) == counter_signature(mp)
-        assert mu.counters.cycles == mp.counters.cycles
     if "fused" in out:
         rf, mf = out["fused"]
         _assert_bitwise(rp, rf, "fused")

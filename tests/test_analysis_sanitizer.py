@@ -7,8 +7,8 @@ import pytest
 
 from repro.analysis import (RaceError, current_sanitizer, lint_source,
                             sanitize)
-from repro.core import (EnactorBase, Frontier, Functor, ProblemBase, advance,
-                        atomics, compute, filter_frontier)
+from repro.core import (EnactorBase, Frontier, Functor, ProblemBase,
+                        Workspace, advance, atomics, compute, filter_frontier)
 from repro.graph import from_edges
 
 
@@ -267,17 +267,19 @@ def test_remaining_primitives_clean(kron_graph, kron_weighted):
 def test_resolve_masks_rejects_non_boolean():
     from repro.core.functor import resolve_masks
     with pytest.raises(TypeError, match="boolean"):
-        resolve_masks(3, np.array([1, 0, 1]), where="Racy.cond_edge")
+        resolve_masks(3, np.array([1, 0, 1]), where="Racy.cond_edge",
+                      workspace=Workspace())
 
 
 def test_resolve_masks_error_names_functor_method():
     from repro.core.functor import resolve_masks
     with pytest.raises(ValueError, match="Racy.cond_edge"):
-        resolve_masks(3, np.array([True, False]), where="Racy.cond_edge")
+        resolve_masks(3, np.array([True, False]), where="Racy.cond_edge",
+                      workspace=Workspace())
 
 
 def test_resolve_masks_accepts_boolean():
     from repro.core.functor import resolve_masks
     out = resolve_masks(2, np.array([True, False]),
-                        np.array([True, True]))
+                        np.array([True, True]), workspace=Workspace())
     assert out.tolist() == [True, False]

@@ -72,6 +72,16 @@ def test_bad_generator_spec():
         run_cli("info", "--generate", "nope:1")
 
 
+@pytest.mark.parametrize("command", ["run", "serve"])
+def test_engine_choices_exclude_retired_unpooled(command, capsys):
+    argv = [command] + (["bfs"] if command == "run" else []) + \
+        ["--generate", "kron:6", "--engine", "unpooled"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'unpooled'" in capsys.readouterr().err
+
+
 def test_missing_graph_source():
     with pytest.raises(SystemExit):
         run_cli("info")

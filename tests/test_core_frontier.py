@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Frontier, FrontierKind
+from repro.core import Frontier, FrontierKind, Workspace
 from repro.simt import Machine
 
 
@@ -40,7 +40,7 @@ def test_rejects_2d_items():
 
 def test_bitmap_roundtrip():
     f = Frontier(np.array([1, 4, 2]))
-    bm = f.to_bitmap(6)
+    bm = f.to_bitmap(6, workspace=Workspace())
     assert bm.tolist() == [False, True, True, False, True, False]
     back = Frontier.from_bitmap(bm)
     assert sorted(back.items.tolist()) == [1, 2, 4]
@@ -49,12 +49,12 @@ def test_bitmap_roundtrip():
 def test_bitmap_rejects_overflow():
     f = Frontier(np.array([10]))
     with pytest.raises(ValueError):
-        f.to_bitmap(5)
+        f.to_bitmap(5, workspace=Workspace())
 
 
 def test_bitmap_costs_kernel():
     m = Machine()
-    Frontier(np.array([1, 2])).to_bitmap(10, m)
+    Frontier(np.array([1, 2])).to_bitmap(10, m, workspace=Workspace())
     assert m.counters.kernel_launches == 1
 
 

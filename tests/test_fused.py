@@ -181,8 +181,8 @@ def test_engine_context_restores_mode():
     before = engine_mode()
     with engine("fused"):
         assert engine_mode() == "fused"
-        with engine("unpooled"):
-            assert engine_mode() == "unpooled"
+        with engine("la"):
+            assert engine_mode() == "la"
         assert engine_mode() == "fused"
     assert engine_mode() == before
 
@@ -192,15 +192,36 @@ def test_engine_rejects_unknown_mode():
 
     with pytest.raises(ValueError):
         set_engine("warp-speed")
+    # the retired allocate-per-call engine is an unknown name too
+    with pytest.raises(ValueError, match="unknown engine 'unpooled'"):
+        set_engine("unpooled")
+
+
+def test_env_engine_rejects_unknown_mode():
+    """``REPRO_ENGINE`` is validated like :func:`set_engine`: a typo or a
+    retired engine name fails at import instead of silently running
+    pooled."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, REPRO_ENGINE="unpooled", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.core.engine"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "ValueError: unknown engine 'unpooled'" in proc.stderr
 
 
 def test_fused_engine_implies_pooling():
     from repro.core.workspace import Workspace
 
     with engine("fused"):
-        assert Workspace().pooled
-    with engine("unpooled"):
-        assert not Workspace().pooled
+        ws = Workspace()
+        assert ws.take("x", 4).base is ws.take("x", 4).base
 
 
 # -- plans and the per-graph cache --------------------------------------------

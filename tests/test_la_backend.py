@@ -234,7 +234,8 @@ def test_la_engine_implies_pooling():
     from repro.core.workspace import Workspace
 
     with engine("la"):
-        assert Workspace().pooled
+        ws = Workspace()
+        assert ws.take("x", 4).base is ws.take("x", 4).base
 
 
 # -- SpGEMM triangle counting -------------------------------------------------

@@ -6,7 +6,8 @@ Invariants pinned here:
 * draining a pile yields non-decreasing priority levels;
 * empty piles behave (empty push is a no-op, pop on empty is empty);
 * snapshot/restore round-trips the mutable state;
-* a mis-sized priority function is a loud error;
+* a mis-sized priority function is a loud error, and so is a NaN or
+  +inf priority (it would never fall below a level and spin the pile);
 * splits with a machine charge exactly one kernel.
 """
 
@@ -57,6 +58,41 @@ def test_split_mismatched_priority_length_raises():
 
     with pytest.raises(ValueError, match="one value per item"):
         split_near_far(p, Frontier(np.array([1, 2, 3])), bad, 1.0)
+
+
+@pytest.mark.parametrize("bad_value", [np.inf, np.nan])
+def test_split_non_finite_priority_raises(bad_value):
+    p = _problem()
+
+    def bad(problem, items):
+        prio = items.astype(np.float64)
+        prio[1] = bad_value
+        return prio
+
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        split_near_far(p, Frontier(np.array([1, 2, 3])), bad, 1.0)
+
+
+def test_split_sends_negative_infinity_near():
+    p = _problem()
+    near, far = split_near_far(
+        p, Frontier(np.array([1, 2, 3])),
+        lambda problem, items: np.array([-np.inf, 0.5, 2.0]), 1.0)
+    assert near.items.tolist() == [1, 2]
+    assert far.items.tolist() == [3]
+
+
+@pytest.mark.parametrize("bad_value", [np.inf, np.nan])
+def test_pile_with_non_finite_priority_raises_instead_of_spinning(bad_value):
+    from repro.graph.generators import road_grid
+
+    p = ProblemBase(road_grid(3, 3, seed=0))
+    pile = NearFarPile(p, lambda problem, items: np.full(len(items),
+                                                         bad_value),
+                       delta=1.0)
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        pile.push(Frontier(np.arange(p.graph.n, dtype=np.int64)))
+        pile.pop_near()
 
 
 def test_pile_rejects_nonpositive_delta():

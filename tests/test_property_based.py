@@ -318,27 +318,29 @@ def test_bfs_recovery_identical_under_random_faults(data, src, fault_seed):
 
 # -- cross-engine identity (shared harness) ----------------------------------
 #
-# The pooled-vs-unpooled comparison loops that used to live here moved
-# into tests/engines.py; these tests now drive the same configurations
-# through the shared differential harness, which additionally covers the
-# la engine where a lowering exists (pull direction and the CAS-claim
-# non-idempotent BFS path are la-supported but fused-unsupported, so
-# fused stays out of these runs).
+# These tests drive each configuration through the shared differential
+# harness (tests/engines.py): the fused runners are the second,
+# bitwise-held implementation of the library loop, and the la engine is
+# checked where a lowering exists.  The CAS-claim (non-idempotent) BFS
+# path has no fused runner, so there the harness asserts that fused falls
+# back.  The test names keep their historical ``pooled_unpooled`` ids.
 
 
 @given(edge_lists(max_n=24, max_m=90), st.integers(0, 23),
        st.sampled_from(["auto", "push", "pull"]), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_bfs_pooled_unpooled_identical(data, src, direction, idempotent):
-    """Pooling invariant: identical output arrays AND identical simulated
-    cycle counters, for every BFS configuration."""
+    """Identical output arrays AND identical simulated cycle counters
+    between the library loop and the fused runner, for every BFS
+    configuration."""
     from engines import run_all_engines
 
     n, edges = data
     src = src % n
     g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
-    run_all_engines("bfs", g, engines=("unpooled", "pooled", "la"),
-                    src=src, direction=direction, idempotent=idempotent)
+    run_all_engines("bfs", g, src=src, direction=direction,
+                    idempotent=idempotent,
+                    expect_fused_fallback=not idempotent)
 
 
 @given(edge_lists(max_n=20, max_m=70), st.integers(0, 19),
@@ -352,8 +354,7 @@ def test_sssp_pooled_unpooled_identical(data, src, wseed, use_pq):
     src = src % n
     g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
     g = with_random_weights(g, seed=wseed)
-    run_all_engines("sssp", g, engines=("unpooled", "pooled", "la"),
-                    src=src, use_priority_queue=use_pq)
+    run_all_engines("sssp", g, src=src, use_priority_queue=use_pq)
 
 
 @given(edge_lists(max_n=20, max_m=70), st.integers(1, 30))
@@ -363,8 +364,7 @@ def test_pagerank_pooled_unpooled_identical(data, max_iter):
 
     n, edges = data
     g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
-    run_all_engines("pagerank", g, engines=("unpooled", "pooled", "la"),
-                    max_iterations=max_iter)
+    run_all_engines("pagerank", g, max_iterations=max_iter)
 
 
 @given(edge_lists(max_n=20, max_m=70),
@@ -372,25 +372,29 @@ def test_pagerank_pooled_unpooled_identical(data, max_iter):
        st.integers(1, 30))
 @settings(max_examples=20, deadline=None)
 def test_ppr_pooled_unpooled_identical(data, seeds, max_iter):
-    # pooled ppr scatters through the per-source segmented functor,
-    # unpooled through the per-lane one: outputs and cycles must agree
     from engines import run_all_engines
 
     n, edges = data
     g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
-    run_all_engines("ppr", g, engines=("unpooled", "pooled", "la"),
-                    seeds=[s % n for s in seeds], max_iterations=max_iter)
+    run_all_engines("ppr", g, seeds=[s % n for s in seeds],
+                    max_iterations=max_iter)
 
 
 @given(edge_lists(max_n=18, max_m=60), st.integers(1, 12))
 @settings(max_examples=15, deadline=None)
 def test_pagerank_gather_pooled_unpooled_identical(data, max_iter):
-    # gatherpagerank has no LA lowering: the harness asserts the la run
-    # falls back to pooled and stays bitwise-identical
-    from engines import run_all_engines
+    # gatherpagerank has no fused runner and no LA lowering: the harness
+    # asserts the la run falls back to pooled and stays bitwise-identical,
+    # and the ranks must match the serial power iteration run for the
+    # same number of super-steps
+    from engines import RANK_ATOL, RANK_RTOL, run_all_engines
+    from repro import reference
 
     n, edges = data
     g = from_edges(edges, n=n, undirected=True) if edges else from_edges([], n=n)
-    run_all_engines("pagerank_gather", g,
-                    engines=("unpooled", "pooled", "la"),
-                    max_iterations=max_iter)
+    out = run_all_engines("pagerank_gather", g, engines=("pooled", "la"),
+                          max_iterations=max_iter)
+    result = out["pooled"][0]
+    expected = reference.pagerank_power(g, iterations=result.iterations)
+    assert np.allclose(result.rank, expected, rtol=RANK_RTOL,
+                       atol=RANK_ATOL)

@@ -2,14 +2,14 @@
 
 Direction-optimized BFS (Beamer's push/pull switch, Section 5.1) must be
 an *optimization*, never a semantic change: for any graph and source,
-``push``, ``pull``, and ``auto`` produce identical depth arrays — with
-the unpooled or pooled engine, idempotent or not.
+``push``, ``pull``, and ``auto`` produce identical depth arrays,
+idempotent or not, and the fused runner matches the library loop in
+every direction.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import engine
 from repro.graph import from_edges
 from repro.primitives import bfs
 from repro.reference import bfs_depths
@@ -33,15 +33,13 @@ def _build(n, edges):
         else from_edges([], n=n)
 
 
-@given(graphs_and_src(), st.booleans(),
-       st.sampled_from(("unpooled", "pooled")))
+@given(graphs_and_src(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_push_pull_auto_identical_depths(data, idempotent, mode):
+def test_push_pull_auto_identical_depths(data, idempotent):
     n, edges, src = data
     g = _build(n, edges)
-    with engine(mode):
-        depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
-                  for d in DIRECTIONS}
+    depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
+              for d in DIRECTIONS}
     assert np.array_equal(depths["push"], depths["pull"])
     assert np.array_equal(depths["push"], depths["auto"])
     # and all three match the serial oracle
@@ -69,19 +67,13 @@ def test_direction_identical_predecessors_are_valid(data):
 @given(graphs_and_src(max_n=20, max_m=70))
 @settings(max_examples=30, deadline=None)
 def test_pooled_unpooled_identical_per_direction(data):
-    """Pooling is invisible per direction: same labels AND same simulated
-    cycle totals."""
-    from repro.simt import Machine
+    """The fused runner is invisible per direction: same arrays AND same
+    simulated counters as the library loop (the historical test id is
+    kept)."""
+    from engines import run_all_engines
 
     n, edges, src = data
     g = _build(n, edges)
     for direction in DIRECTIONS:
-        out = {}
-        for mode in ("pooled", "unpooled"):
-            with engine(mode):
-                m = Machine()
-                out[mode] = (bfs(g, src, machine=m, direction=direction),
-                             m.counters.cycles)
-        assert np.array_equal(out["pooled"][0].labels,
-                              out["unpooled"][0].labels)
-        assert out["pooled"][1] == out["unpooled"][1]
+        run_all_engines("bfs", g, engines=("pooled", "fused"), src=src,
+                        direction=direction)
